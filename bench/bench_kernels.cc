@@ -8,6 +8,7 @@
 // Usage: bench_kernels [--json=<path>]
 //   ADASKIP_BENCH_ROWS scales the column (default 2,000,000).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -103,6 +104,12 @@ void BenchType(const char* type_name, int64_t n, std::vector<BenchRow>* rows) {
 
   SelectionVector sel_out;
   sel_out.Reserve(n);
+  // Conjunction words: re-seeded to all ones per pass, as the executor
+  // seeds each morsel before its first predicate.
+  std::vector<uint64_t> words(static_cast<size_t>(MatchWordsFor(n)));
+  const auto seed_words = [&] {
+    std::fill(words.begin(), words.end(), ~uint64_t{0});
+  };
 
   // Each runner does one full pass and feeds the sink.
   const auto run_count = [](const simd::KernelOps<T>& ops,
@@ -133,11 +140,12 @@ void BenchType(const char* type_name, int64_t n, std::vector<BenchRow>* rows) {
     const ValueInterval<T> interval = IntervalFor<T>(selectivity);
     struct Cell {
       const char* kernel;
-      int which;  // 0 count, 1 sum, 2 minmax, 3 materialize
+      int which;  // 0 count, 1 sum, 2 minmax, 3 materialize, 4 words
     };
     for (const Cell cell : {Cell{"CountMatches", 0}, Cell{"SumMatches", 1},
                             Cell{"MinMaxMatches", 2},
-                            Cell{"MaterializeMatches", 3}}) {
+                            Cell{"MaterializeMatches", 3},
+                            Cell{"AndMatchWords", 4}}) {
       const auto run_table = [&](const simd::KernelOps<T>& ops) {
         switch (cell.which) {
           case 0:
@@ -148,6 +156,12 @@ void BenchType(const char* type_name, int64_t n, std::vector<BenchRow>* rows) {
             break;
           case 2:
             run_minmax(ops, span, range, interval, nullptr, 0);
+            break;
+          case 4:
+            seed_words();
+            g_sink = g_sink + ops.and_match_words(span, range, interval,
+                                                  words.data())
+                                  .kept;
             break;
           default:
             sel_out.Clear();
@@ -189,6 +203,12 @@ void BenchType(const char* type_name, int64_t n, std::vector<BenchRow>* rows) {
                 g_sink = g_sink + mmc.count;
                 break;
               }
+              case 4:
+                seed_words();
+                g_sink = g_sink + PackedAndMatchWords(packed, range, interval,
+                                                      words.data())
+                                      .kept;
+                break;
               default:
                 sel_out.Clear();
                 g_sink = g_sink + PackedMaterializeMatches(packed, range,

@@ -52,9 +52,8 @@ struct QuerySpec {
   /// ExecOptions::trace_level; set forces this level for this query.
   std::optional<obs::TraceLevel> trace_level;
 
-  /// The mechanical migration shim: the exact semantics of the old
-  /// Session::Execute(table, query) call as a spec (no deadline,
-  /// interactive, inherited trace level).
+  /// A plain query as a spec: no deadline, interactive, inherited trace
+  /// level.
   static QuerySpec Simple(std::string table, Query query) {
     QuerySpec spec;
     spec.table = std::move(table);

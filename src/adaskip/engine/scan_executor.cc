@@ -1,8 +1,10 @@
 #include "adaskip/engine/scan_executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -235,6 +237,40 @@ int64_t ScanPiece(const TypedColumn<T>& column, RowRange piece,
                                       /*base=*/piece.begin);
   }
   return 0;
+}
+
+/// The conjunction twin of ScanPiece: ANDs the match words of
+/// `interval` over one segment-contained piece of `column` into `words`,
+/// through the packed kernel when the segment adopted a packed layout and
+/// the dispatched raw kernel otherwise. `packed_rows` (optional) counts
+/// the piece's rows when the packed kernel served it.
+template <typename T>
+WordMatches AndPieceWords(const TypedColumn<T>& column, RowRange piece,
+                          const ValueInterval<T>& interval, uint64_t* words,
+                          int64_t* packed_rows) {
+  if constexpr (std::is_integral_v<T>) {
+    const PackedSegment<T>* packed =
+        column.packed_segment(column.SegmentOf(piece.begin));
+    if (packed != nullptr) {
+      const int64_t off = column.OffsetInSegment(piece.begin);
+      if (packed_rows != nullptr) *packed_rows += piece.size();
+      return PackedAndMatchWords(*packed, RowRange{off, off + piece.size()},
+                                 interval, words);
+    }
+  }
+  return simd::AndMatchWords(column.SpanFor(piece), RowRange{0, piece.size()},
+                             interval, words);
+}
+
+/// Calls `fn(row)` for every set bit of the match words of `rows`, in
+/// ascending row order.
+template <typename Fn>
+void ForEachSetRow(const uint64_t* words, RowRange rows, Fn&& fn) {
+  for (int64_t k = 0; k < MatchWordsFor(rows.size()); ++k) {
+    for (uint64_t bits = words[k]; bits != 0; bits &= bits - 1) {
+      fn(rows.begin + k * 64 + std::countr_zero(bits));
+    }
+  }
 }
 
 /// Per-query fleet metrics, emitted once per completed query by both the
@@ -1088,121 +1124,130 @@ Result<QueryResult> ScanExecutor::ExecuteConjunction(const Query& query) {
   }
   stats.probe_nanos = probe_timer.ElapsedNanos();
   stats.candidate_ranges = static_cast<int64_t>(candidates.size());
-  if (trace != nullptr) {
-    obs::TraceSpan probe_span = MakeProbeSpan(stats);
-    for (size_t p = 0; p < num_preds; ++p) {
-      obs::TraceSpan child("predicate");
-      child
-          .Set("column", query.predicates[p].column)
-          .Set("index", pred_index[p] != nullptr
-                            ? std::string(pred_index[p]->name())
-                            : std::string("none"))
-          .Set("zones_candidate", pred_probe[p].zones_candidate)
-          .Set("zones_skipped", pred_probe[p].zones_skipped)
-          .Set("entries_read", pred_probe[p].entries_read);
-      probe_span.AddChild(std::move(child));
-    }
-    trace->root().AddChild(std::move(probe_span));
-  }
 
-  // Evaluate the conjunction morsel-wise: materialize the first
-  // predicate's matches, then filter by the remaining predicates. Each
-  // morsel also counts every indexed predicate's *own* matches — the
-  // currency of that index's range feedback (a zonemap predicts its own
-  // column's selectivity, not the conjunction's). Morsels split at the
-  // smallest predicate column's segment size, which (power-of-two sizes)
-  // is a segment boundary for every predicate column — so each morsel
-  // maps to one contiguous span per column.
+  // Evaluate the conjunction morsel-wise as match words: each predicate
+  // ANDs its bits into the morsel's words in one branch-free pass over
+  // its column, so every column is read once and no row ids exist until
+  // an aggregate asks for them. The popcount of a predicate's own bits is
+  // the currency of its index's range feedback (a zonemap predicts its
+  // own column's selectivity, not the conjunction's); the popcount of the
+  // ANDed words is the morsel's COUNT. Morsels split at the smallest
+  // predicate column's segment size, which (power-of-two sizes) is a
+  // segment boundary for every predicate column — so each morsel maps to
+  // one contiguous span, or one packed segment, per column.
   std::vector<Morsel> morsels =
       BuildMorsels(candidates, options_.morsel_rows, min_segment_rows);
-  std::vector<SelectionVector> selections(morsels.size());
+  std::vector<int64_t> first_word(morsels.size() + 1, 0);
+  for (size_t m = 0; m < morsels.size(); ++m) {
+    first_word[m + 1] = first_word[m] + MatchWordsFor(morsels[m].rows.size());
+  }
+  const std::unique_ptr<uint64_t[]> match_words =
+      std::make_unique_for_overwrite<uint64_t[]>(
+          static_cast<size_t>(first_word.back()));
   std::vector<int64_t> own_matches(morsels.size() * num_preds, 0);
+  std::vector<int64_t> morsel_matches(morsels.size(), 0);
   std::vector<int64_t> packed_rows(morsels.size(), 0);
 
-  auto scan_morsel = [&](int64_t m, int /*worker*/) {
+  auto scan_morsel = [&](int64_t m) {
     const RowRange rows = morsels[static_cast<size_t>(m)].rows;
-    SelectionVector& sel = selections[static_cast<size_t>(m)];
-    int64_t* own = &own_matches[static_cast<size_t>(m) * num_preds];
-    int64_t* packed = &packed_rows[static_cast<size_t>(m)];
-    {
-      // Morsels are segment-contained for every predicate column (see
-      // BuildMorsels above), so ScanPiece routes each through its
-      // segment's layout — packed kernels on packed segments, the
-      // dispatched raw kernels otherwise.
-      const Predicate& pred = query.predicates[0];
-      DispatchDataType(pred_column[0]->type(), [&](auto tag) {
-        using T = typename decltype(tag)::type;
-        const TypedColumn<T>& typed = *pred_column[0]->As<T>();
-        own[0] = ScanPiece(typed, rows, AggregateKind::kMaterialize,
-                           pred.ToInterval<T>(),
-                           PieceAccumulators<T>{nullptr, nullptr, nullptr,
-                                                &sel, packed});
-      });
-    }
-    for (size_t p = 1; p < num_preds; ++p) {
+    uint64_t* words = &match_words[static_cast<size_t>(first_word[m])];
+    std::fill_n(words, MatchWordsFor(rows.size()), ~uint64_t{0});
+    for (size_t p = 0; p < num_preds; ++p) {
       const Predicate& pred = query.predicates[p];
       DispatchDataType(pred_column[p]->type(), [&](auto tag) {
         using T = typename decltype(tag)::type;
-        const TypedColumn<T>& typed = *pred_column[p]->As<T>();
-        ValueInterval<T> interval = pred.ToInterval<T>();
-        if (pred_index[p] != nullptr) {
-          // Feedback for this column's index: one extra pass over the
-          // morsel, paid only when an index is listening. Like
-          // rows_scanned, rows_scanned_packed counts each morsel once
-          // (under the first predicate), so this pass uses a throwaway
-          // packed-row counter.
-          int64_t feedback_packed = 0;
-          own[p] = ScanPiece(typed, rows, AggregateKind::kCount, interval,
-                             PieceAccumulators<T>{nullptr, nullptr, nullptr,
-                                                  nullptr, &feedback_packed});
-        }
-        auto* sel_rows = sel.mutable_rows();
-        auto keep = std::remove_if(sel_rows->begin(), sel_rows->end(),
-                                   [&](int64_t row) {
-                                     return !interval.Contains(typed.Get(row));
-                                   });
-        sel_rows->erase(keep, sel_rows->end());
+        // Like rows_scanned, rows_scanned_packed counts each morsel once,
+        // under the first predicate's layout.
+        const WordMatches wm = AndPieceWords(
+            *pred_column[p]->As<T>(), rows, pred.ToInterval<T>(), words,
+            p == 0 ? &packed_rows[static_cast<size_t>(m)] : nullptr);
+        own_matches[static_cast<size_t>(m) * num_preds + p] = wm.own;
+        morsel_matches[static_cast<size_t>(m)] = wm.kept;
       });
     }
   };
 
-  Stopwatch scan_timer;
-  if (options_.num_threads > 1 && morsels.size() > 1) {
-    ThreadPool* workers = pool();
-    stats.parallel_workers = workers->num_workers();
-    std::vector<int64_t> worker_nanos(
-        static_cast<size_t>(workers->num_workers()), 0);
-    InstrumentedParallelFor(workers, static_cast<int64_t>(morsels.size()),
-                            [&](int64_t m, int worker) {
-                              Stopwatch morsel_timer;
-                              scan_morsel(m, worker);
-                              worker_nanos[static_cast<size_t>(worker)] +=
-                                  morsel_timer.ElapsedNanos();
-                            });
-    for (int64_t nanos : worker_nanos) stats.scan_nanos += nanos;
-  } else {
-    for (int64_t m = 0; m < static_cast<int64_t>(morsels.size()); ++m) {
-      scan_morsel(m, 0);
+  // Runs every morsel, then `fold(m)` over each morsel's surviving rows in
+  // morsel (= row) order — right behind the scan on one thread (the
+  // morsel's data still in cache), after the barrier on several. Either
+  // way the fold sees the same rows in the same order, so SUM's
+  // sequential double accumulation, MIN/MAX ties and materialized row ids
+  // are identical for every thread count.
+  int64_t matched = 0;
+  auto run_morsels = [&](auto&& fold) {
+    Stopwatch scan_timer;
+    if (options_.num_threads > 1 && morsels.size() > 1) {
+      ThreadPool* workers = pool();
+      stats.parallel_workers = workers->num_workers();
+      std::vector<int64_t> worker_nanos(
+          static_cast<size_t>(workers->num_workers()), 0);
+      InstrumentedParallelFor(workers, static_cast<int64_t>(morsels.size()),
+                              [&](int64_t m, int worker) {
+                                Stopwatch morsel_timer;
+                                scan_morsel(m);
+                                worker_nanos[static_cast<size_t>(worker)] +=
+                                    morsel_timer.ElapsedNanos();
+                              });
+      for (int64_t nanos : worker_nanos) stats.scan_nanos += nanos;
+      Stopwatch fold_timer;
+      for (size_t m = 0; m < morsels.size(); ++m) fold(m);
+      stats.merge_nanos += fold_timer.ElapsedNanos();
+    } else {
+      for (size_t m = 0; m < morsels.size(); ++m) {
+        scan_morsel(static_cast<int64_t>(m));
+        fold(m);
+      }
+      stats.scan_nanos = scan_timer.ElapsedNanos();
     }
-    stats.scan_nanos = scan_timer.ElapsedNanos();
+    for (int64_t matches : morsel_matches) matched += matches;
+  };
+  auto for_each_match = [&](size_t m, auto&& fn) {
+    ForEachSetRow(&match_words[static_cast<size_t>(first_word[m])],
+                  morsels[m].rows, fn);
+  };
+  switch (query.aggregate) {
+    case AggregateKind::kCount:
+      run_morsels([](size_t) {});
+      break;
+    case AggregateKind::kMaterialize:
+      run_morsels([&](size_t m) {
+        for_each_match(m, [&](int64_t row) { result.rows.Append(row); });
+      });
+      break;
+    case AggregateKind::kSum:
+    case AggregateKind::kMin:
+    case AggregateKind::kMax: {
+      const Column* agg_column =
+          table_->ColumnByName(AggregateColumnOf(query)).value();
+      DispatchDataType(agg_column->type(), [&](auto tag) {
+        using T = typename decltype(tag)::type;
+        const TypedColumn<T>& typed = *agg_column->As<T>();
+        double sum = 0.0;
+        T min_v = std::numeric_limits<T>::max();
+        T max_v = std::numeric_limits<T>::lowest();
+        run_morsels([&](size_t m) {
+          for_each_match(m, [&](int64_t row) {
+            const T v = typed.Get(row);
+            sum += static_cast<double>(v);
+            min_v = std::min(min_v, v);
+            max_v = std::max(max_v, v);
+          });
+        });
+        result.sum = sum;
+        if (matched > 0) {
+          result.min = static_cast<double>(min_v);
+          result.max = static_cast<double>(max_v);
+        }
+      });
+      break;
+    }
   }
 
-  // Merge per-morsel selections in morsel (= row) order; identical to the
-  // serial evaluation for every thread count.
   Stopwatch merge_timer;
-  SelectionVector selection;
-  {
-    int64_t total_rows = 0;
-    for (const SelectionVector& sel : selections) total_rows += sel.size();
-    selection.Reserve(total_rows);
-    for (const SelectionVector& sel : selections) {
-      for (int64_t i = 0; i < sel.size(); ++i) selection.Append(sel[i]);
-    }
-  }
   for (const Morsel& morsel : morsels) stats.rows_scanned += morsel.rows.size();
   for (int64_t rows : packed_rows) stats.rows_scanned_packed += rows;
-  stats.rows_matched = selection.size();
-  result.count = selection.size();
+  stats.rows_matched = matched;
+  result.count = matched;
 
   // Replay the buffered feedback: per candidate range in order, each
   // indexed predicate learns how many of its own matches the range held.
@@ -1230,11 +1275,28 @@ Result<QueryResult> ScanExecutor::ExecuteConjunction(const Query& query) {
       }
     }
   }
-  stats.merge_nanos = merge_timer.ElapsedNanos();
+  stats.merge_nanos += merge_timer.ElapsedNanos();
   if (trace != nullptr) {
+    obs::TraceSpan probe_span = MakeProbeSpan(stats);
+    for (size_t p = 0; p < num_preds; ++p) {
+      obs::TraceSpan child("predicate");
+      child
+          .Set("column", query.predicates[p].column)
+          .Set("index", pred_index[p] != nullptr
+                            ? std::string(pred_index[p]->name())
+                            : std::string("none"))
+          .Set("zones_candidate", pred_probe[p].zones_candidate)
+          .Set("zones_skipped", pred_probe[p].zones_skipped)
+          .Set("entries_read", pred_probe[p].entries_read)
+          .Set("own_matches", pred_total_matches[p]);
+      probe_span.AddChild(std::move(child));
+    }
+    trace->root().AddChild(std::move(probe_span));
+
     obs::TraceSpan scan_span("scan");
     scan_span.duration_nanos = stats.scan_nanos;
     scan_span.Set("rows_scanned", stats.rows_scanned)
+        .Set("rows_scanned_packed", stats.rows_scanned_packed)
         .Set("rows_matched", stats.rows_matched)
         .Set("kernel_path", simd::ActiveKernelPathName())
         .Set("morsels", static_cast<int64_t>(morsels.size()))
@@ -1268,33 +1330,6 @@ Result<QueryResult> ScanExecutor::ExecuteConjunction(const Query& query) {
     trace->root().AddChild(std::move(adapt_span));
   }
 
-  // Aggregate over the qualifying rows.
-  if (query.aggregate == AggregateKind::kSum ||
-      query.aggregate == AggregateKind::kMin ||
-      query.aggregate == AggregateKind::kMax) {
-    const Column* agg_column =
-        table_->ColumnByName(AggregateColumnOf(query)).value();
-    DispatchDataType(agg_column->type(), [&](auto tag) {
-      using T = typename decltype(tag)::type;
-      const TypedColumn<T>& typed = *agg_column->As<T>();
-      double sum = 0.0;
-      T min_v = std::numeric_limits<T>::max();
-      T max_v = std::numeric_limits<T>::lowest();
-      for (int64_t i = 0; i < selection.size(); ++i) {
-        T v = typed.Get(selection[i]);
-        sum += static_cast<double>(v);
-        min_v = std::min(min_v, v);
-        max_v = std::max(max_v, v);
-      }
-      result.sum = sum;
-      if (selection.size() > 0) {
-        result.min = static_cast<double>(min_v);
-        result.max = static_cast<double>(max_v);
-      }
-    });
-  } else if (query.aggregate == AggregateKind::kMaterialize) {
-    result.rows = std::move(selection);
-  }
   stats.total_nanos = total_timer.ElapsedNanos();
   if (trace != nullptr) {
     trace->root().duration_nanos = stats.total_nanos;

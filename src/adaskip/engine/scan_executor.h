@@ -134,7 +134,8 @@ struct SharedBatchResult {
 ///
 /// Single-predicate queries take a fully typed fast path. Multi-predicate
 /// (conjunction) queries intersect the candidate sets of all predicated
-/// columns and run a generic evaluation. Both paths drive adaptation:
+/// columns and AND per-predicate 64-bit match words morsel by morsel,
+/// reading each column once. Both paths drive adaptation:
 /// each predicate's index receives per-range feedback counting that
 /// column's own matches, plus a query-complete summary.
 ///

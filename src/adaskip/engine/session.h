@@ -227,15 +227,6 @@ class Session {
       std::string_view table_name, const std::vector<QuerySpec>& batch,
       SharedPassStats* pass = nullptr);
 
-  /// DEPRECATED: the pre-QuerySpec submission surface, kept as a shim so
-  /// existing callers migrate on their own schedule. Identical to
-  /// ExecuteSpec(QuerySpec::Simple(table_name, query)).
-  [[deprecated("build a QuerySpec (QueryBuilder) and call ExecuteSpec")]]
-  Result<QueryResult> Execute(std::string_view table_name,
-                              const Query& query) {
-    return ExecuteSpec(QuerySpec::Simple(std::string(table_name), query));
-  }
-
   /// Runs `query` with full (kDetail) tracing regardless of the table's
   /// configured trace level and renders the captured plan/trace: how many
   /// zones were candidates vs skipped, what was scanned, and which

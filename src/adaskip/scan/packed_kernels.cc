@@ -1,5 +1,6 @@
 #include "adaskip/scan/packed_kernels.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 
@@ -172,6 +173,37 @@ int64_t PackedMaterializeMatches(const PackedSegment<T>& seg, RowRange range,
   return appended;
 }
 
+template <typename T>
+WordMatches PackedAndMatchWords(const PackedSegment<T>& seg, RowRange range,
+                                ValueInterval<T> interval, uint64_t* words) {
+  DCheckLocalRange(seg, range);
+  const CodeInterval ci = TranslateInterval(seg, interval);
+  const int64_t n = range.size();
+  if (ci.empty) {
+    std::fill_n(words, MatchWordsFor(n), uint64_t{0});
+    return {};
+  }
+  // 8- and 16-bit codes are plain arrays; narrower widths unpack.
+  if (seg.bits == 8 || seg.bits == 16) {
+    const auto and_codes = [&](const auto* codes) {
+      return AndMatchWordsWith(n, words, [&](int64_t j) {
+        const uint64_t c = codes[j];
+        return (c >= ci.lo) & (c <= ci.hi);
+      });
+    };
+    if (seg.bits == 8) {
+      return and_codes(reinterpret_cast<const uint8_t*>(seg.words.data()) +
+                       range.begin);
+    }
+    return and_codes(reinterpret_cast<const uint16_t*>(seg.words.data()) +
+                     range.begin);
+  }
+  return AndMatchWordsWith(n, words, [&](int64_t j) {
+    const uint64_t c = seg.CodeAt(range.begin + j);
+    return (c >= ci.lo) & (c <= ci.hi);
+  });
+}
+
 #define ADASKIP_INSTANTIATE_PACKED(T)                                         \
   template SegmentPackPlan<T> PlanSegmentPack<T>(std::span<const T>);         \
   template int64_t PackedCountMatches<T>(const PackedSegment<T>&, RowRange,   \
@@ -183,7 +215,10 @@ int64_t PackedMaterializeMatches(const PackedSegment<T>& seg, RowRange range,
       const PackedSegment<T>&, RowRange, ValueInterval<T>);                   \
   template int64_t PackedMaterializeMatches<T>(const PackedSegment<T>&,       \
                                                RowRange, ValueInterval<T>,    \
-                                               SelectionVector*, int64_t)
+                                               SelectionVector*, int64_t);   \
+  template WordMatches PackedAndMatchWords<T>(const PackedSegment<T>&,        \
+                                              RowRange, ValueInterval<T>,     \
+                                              uint64_t*)
 
 ADASKIP_INSTANTIATE_PACKED(int32_t);
 ADASKIP_INSTANTIATE_PACKED(int64_t);

@@ -54,6 +54,13 @@ int64_t PackedMaterializeMatches(const PackedSegment<T>& seg, RowRange range,
                                  ValueInterval<T> interval,
                                  SelectionVector* out, int64_t base_row);
 
+/// Packed twin of AndMatchWords: ANDs the match words of `range`
+/// (segment-local) into words[0, MatchWordsFor(range.size())), bit j of
+/// word k being local row range.begin + 64k + j.
+template <typename T>
+WordMatches PackedAndMatchWords(const PackedSegment<T>& seg, RowRange range,
+                                ValueInterval<T> interval, uint64_t* words);
+
 }  // namespace adaskip
 
 #endif  // ADASKIP_SCAN_PACKED_KERNELS_H_

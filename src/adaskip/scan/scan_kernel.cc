@@ -14,8 +14,8 @@ namespace adaskip {
   template int64_t MaterializeMatches<T>(std::span<const T>, RowRange,       \
                                          ValueInterval<T>, SelectionVector*, \
                                          int64_t);                           \
-  template int64_t BitmapMatches<T>(std::span<const T>, RowRange,            \
-                                    ValueInterval<T>, BitVector*);           \
+  template WordMatches AndMatchWords<T>(std::span<const T>, RowRange,        \
+                                        ValueInterval<T>, uint64_t*);        \
   template MinMax<T> MinMaxMatches<T>(std::span<const T>, RowRange,          \
                                       ValueInterval<T>, bool*);              \
   template SumCount<T> SumMatchesCounted<T>(std::span<const T>, RowRange,    \

@@ -1,11 +1,13 @@
 #ifndef ADASKIP_SCAN_SCAN_KERNEL_H_
 #define ADASKIP_SCAN_SCAN_KERNEL_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <span>
 
 #include "adaskip/scan/predicate.h"
-#include "adaskip/util/bit_vector.h"
 #include "adaskip/util/interval_set.h"
 #include "adaskip/util/logging.h"
 #include "adaskip/util/selection_vector.h"
@@ -90,24 +92,55 @@ int64_t MaterializeMatches(std::span<const T> values, RowRange range,
   return appended;
 }
 
-/// Sets the bit of every matching row in `out` (sized to the column).
-/// Returns the number of matches in the range.
+/// Number of 64-bit match words covering `rows` rows.
+constexpr int64_t MatchWordsFor(int64_t rows) { return (rows + 63) / 64; }
+
+/// What one AndMatchWords call saw: `own` rows of the range match this
+/// predicate by itself (its index's feedback currency), and `kept` bits
+/// remain set in the words after the AND (the conjunction so far).
+struct WordMatches {
+  int64_t own = 0;
+  int64_t kept = 0;
+};
+
+/// Shared body of the scalar words kernels (raw and packed): evaluates
+/// `match(j)` for j in [0, n), packs the results into 64-bit words (bit
+/// j % 64 of word j / 64) and ANDs them into words[0, MatchWordsFor(n)).
+/// Bits past `n` in the last word are cleared.
+template <typename MatchFn>
+WordMatches AndMatchWordsWith(int64_t n, uint64_t* words, MatchFn&& match) {
+  WordMatches out;
+  for (int64_t k = 0; k * 64 < n; ++k) {
+    const int64_t first = k * 64;
+    const int width = static_cast<int>(std::min<int64_t>(64, n - first));
+    uint64_t word = 0;
+    for (int j = 0; j < width; ++j) {
+      word |= static_cast<uint64_t>(match(first + j)) << j;
+    }
+    const uint64_t kept = words[k] & word;
+    words[k] = kept;
+    out.own += std::popcount(word);
+    out.kept += std::popcount(kept);
+  }
+  return out;
+}
+
+/// The conjunction kernel: one branch-free pass turns [range.begin,
+/// range.end) into match words — bit j of words[k] is row range.begin +
+/// 64 * k + j — ANDed into words[0, MatchWordsFor(range.size())). Callers
+/// seed the words with all ones and AND one predicate after another.
 template <typename T>
-int64_t BitmapMatches(std::span<const T> values, RowRange range,
-                      ValueInterval<T> interval, BitVector* out) {
-  ADASKIP_DCHECK(out->size() == static_cast<int64_t>(values.size()));
+WordMatches AndMatchWords(std::span<const T> values, RowRange range,
+                          ValueInterval<T> interval, uint64_t* words) {
+  ADASKIP_DCHECK(range.begin >= 0 &&
+                 range.end <= static_cast<int64_t>(values.size()));
   const T lo = interval.lo;
   const T hi = interval.hi;
-  const T* __restrict data = values.data();
-  int64_t count = 0;
-  for (int64_t i = range.begin; i < range.end; ++i) {
-    const T v = data[i];
-    if ((v >= lo) & (v <= hi)) {
-      out->Set(i);
-      ++count;
-    }
-  }
-  return count;
+  const T* __restrict data = values.data() + range.begin;
+  return AndMatchWordsWith(range.size(), words, [&](int64_t j) {
+    const T v = data[j];
+    return (v >= lo) & (v <= hi);
+  });
 }
 
 /// Sum plus count of matching values, in one pass (the executor's kSum

@@ -114,7 +114,7 @@ KernelOps<T> MakeScalarOps() {
   KernelOps<T> ops{};
   ops.count_matches = &adaskip::CountMatches<T>;
   ops.materialize_matches = &adaskip::MaterializeMatches<T>;
-  ops.bitmap_matches = &adaskip::BitmapMatches<T>;
+  ops.and_match_words = &adaskip::AndMatchWords<T>;
   if constexpr (std::is_floating_point_v<T>) {
     ops.sum_matches_counted = &StripedSumMatchesCounted<T>;
     ops.min_max_matches_counted =
@@ -139,7 +139,7 @@ KernelOps<T> MakeAvx2Ops() {
   ops.sum_matches_counted = &avx2::SumMatchesCounted;
   ops.min_max_matches_counted = &avx2::MinMaxMatchesCounted;
   ops.materialize_matches = &avx2::MaterializeMatches;
-  ops.bitmap_matches = &avx2::BitmapMatches;
+  ops.and_match_words = &avx2::AndMatchWords;
   ops.compute_min_max = &avx2::ComputeMinMax;
   return ops;
 }

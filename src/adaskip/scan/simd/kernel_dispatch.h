@@ -50,8 +50,8 @@ struct KernelOps {
                                             ValueInterval<T>);
   int64_t (*materialize_matches)(std::span<const T>, RowRange,
                                  ValueInterval<T>, SelectionVector*, int64_t);
-  int64_t (*bitmap_matches)(std::span<const T>, RowRange, ValueInterval<T>,
-                            BitVector*);
+  WordMatches (*and_match_words)(std::span<const T>, RowRange,
+                                 ValueInterval<T>, uint64_t*);
   MinMax<T> (*compute_min_max)(std::span<const T>, int64_t, int64_t);
 };
 
@@ -112,9 +112,9 @@ inline int64_t MaterializeMatches(std::span<const T> values, RowRange range,
 }
 
 template <typename T>
-inline int64_t BitmapMatches(std::span<const T> values, RowRange range,
-                             ValueInterval<T> interval, BitVector* out) {
-  return Ops<T>().bitmap_matches(values, range, interval, out);
+inline WordMatches AndMatchWords(std::span<const T> values, RowRange range,
+                                 ValueInterval<T> interval, uint64_t* words) {
+  return Ops<T>().and_match_words(values, range, interval, words);
 }
 
 template <typename T>

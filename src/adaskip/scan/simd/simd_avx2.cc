@@ -583,7 +583,7 @@ MinMaxCount<double> MinMaxMatchesCounted(std::span<const double> values,
 }
 
 // ===========================================================================
-// MaterializeMatches / BitmapMatches
+// MaterializeMatches / AndMatchWords
 // ===========================================================================
 
 namespace {
@@ -613,28 +613,41 @@ int64_t MaterializeImpl(const T* data, RowRange range, ValueInterval<T> interval
   return appended;
 }
 
+// One 64-row word per step: 64 / width vector compares, each movemask
+// shifted into place. The tail word (< 64 rows) is built row by row with
+// the scalar predicate, so only in-range rows are read.
 template <typename T, typename MaskFn>
-int64_t BitmapImpl(const T* data, RowRange range, ValueInterval<T> interval,
-                   BitVector* out, int64_t width, MaskFn mask_fn) {
-  int64_t count = 0;
-  int64_t i = range.begin;
-  for (; i + width <= range.end; i += width) {
-    uint32_t mask = mask_fn(data + i);
-    count += std::popcount(mask);
-    while (mask != 0) {
-      const int bit = std::countr_zero(mask);
-      out->Set(i + bit);
-      mask &= mask - 1;
+WordMatches AndMatchWordsImpl(const T* data, RowRange range,
+                              ValueInterval<T> interval, uint64_t* words,
+                              int width, MaskFn mask_fn) {
+  WordMatches out;
+  const T* base = data + range.begin;
+  const int64_t n = range.end - range.begin;
+  int64_t k = 0;
+  for (; (k + 1) * 64 <= n; ++k) {
+    const T* p = base + k * 64;
+    uint64_t word = 0;
+    for (int q = 0; q < 64; q += width) {
+      word |= static_cast<uint64_t>(mask_fn(p + q)) << q;
     }
+    const uint64_t kept = words[k] & word;
+    words[k] = kept;
+    out.own += std::popcount(word);
+    out.kept += std::popcount(kept);
   }
-  for (; i < range.end; ++i) {
-    const T v = data[i];
-    if (v >= interval.lo && v <= interval.hi) {
-      out->Set(i);
-      ++count;
+  if (k * 64 < n) {
+    uint64_t word = 0;
+    for (int64_t j = k * 64; j < n; ++j) {
+      const T v = base[j];
+      word |= static_cast<uint64_t>((v >= interval.lo) & (v <= interval.hi))
+              << (j - k * 64);
     }
+    const uint64_t kept = words[k] & word;
+    words[k] = kept;
+    out.own += std::popcount(word);
+    out.kept += std::popcount(kept);
   }
-  return count;
+  return out;
 }
 
 }  // namespace
@@ -691,60 +704,52 @@ int64_t MaterializeMatches(std::span<const double> values, RowRange range,
                          });
 }
 
-int64_t BitmapMatches(std::span<const int32_t> values, RowRange range,
-                      ValueInterval<int32_t> interval, BitVector* out) {
-  ADASKIP_DCHECK(out != nullptr &&
-                 out->size() == static_cast<int64_t>(values.size()));
+WordMatches AndMatchWords(std::span<const int32_t> values, RowRange range,
+                          ValueInterval<int32_t> interval, uint64_t* words) {
   DCheckRange(static_cast<int64_t>(values.size()), range);
   const __m256i vlo = _mm256_set1_epi32(interval.lo);
   const __m256i vhi = _mm256_set1_epi32(interval.hi);
-  return BitmapImpl(values.data(), range, interval, out, 8,
-                    [&](const int32_t* p) {
-                      const __m256i v = _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(p));
-                      return MatchMask8(v, vlo, vhi);
-                    });
+  return AndMatchWordsImpl(values.data(), range, interval, words, 8,
+                           [&](const int32_t* p) {
+                             const __m256i v = _mm256_loadu_si256(
+                                 reinterpret_cast<const __m256i*>(p));
+                             return MatchMask8(v, vlo, vhi);
+                           });
 }
 
-int64_t BitmapMatches(std::span<const int64_t> values, RowRange range,
-                      ValueInterval<int64_t> interval, BitVector* out) {
-  ADASKIP_DCHECK(out != nullptr &&
-                 out->size() == static_cast<int64_t>(values.size()));
+WordMatches AndMatchWords(std::span<const int64_t> values, RowRange range,
+                          ValueInterval<int64_t> interval, uint64_t* words) {
   DCheckRange(static_cast<int64_t>(values.size()), range);
   const __m256i vlo = _mm256_set1_epi64x(interval.lo);
   const __m256i vhi = _mm256_set1_epi64x(interval.hi);
-  return BitmapImpl(values.data(), range, interval, out, 4,
-                    [&](const int64_t* p) {
-                      const __m256i v = _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(p));
-                      return MatchMask4(v, vlo, vhi);
-                    });
+  return AndMatchWordsImpl(values.data(), range, interval, words, 4,
+                           [&](const int64_t* p) {
+                             const __m256i v = _mm256_loadu_si256(
+                                 reinterpret_cast<const __m256i*>(p));
+                             return MatchMask4(v, vlo, vhi);
+                           });
 }
 
-int64_t BitmapMatches(std::span<const float> values, RowRange range,
-                      ValueInterval<float> interval, BitVector* out) {
-  ADASKIP_DCHECK(out != nullptr &&
-                 out->size() == static_cast<int64_t>(values.size()));
+WordMatches AndMatchWords(std::span<const float> values, RowRange range,
+                          ValueInterval<float> interval, uint64_t* words) {
   DCheckRange(static_cast<int64_t>(values.size()), range);
   const __m256 vlo = _mm256_set1_ps(interval.lo);
   const __m256 vhi = _mm256_set1_ps(interval.hi);
-  return BitmapImpl(values.data(), range, interval, out, 8,
-                    [&](const float* p) {
-                      return MatchMaskPs(_mm256_loadu_ps(p), vlo, vhi);
-                    });
+  return AndMatchWordsImpl(values.data(), range, interval, words, 8,
+                           [&](const float* p) {
+                             return MatchMaskPs(_mm256_loadu_ps(p), vlo, vhi);
+                           });
 }
 
-int64_t BitmapMatches(std::span<const double> values, RowRange range,
-                      ValueInterval<double> interval, BitVector* out) {
-  ADASKIP_DCHECK(out != nullptr &&
-                 out->size() == static_cast<int64_t>(values.size()));
+WordMatches AndMatchWords(std::span<const double> values, RowRange range,
+                          ValueInterval<double> interval, uint64_t* words) {
   DCheckRange(static_cast<int64_t>(values.size()), range);
   const __m256d vlo = _mm256_set1_pd(interval.lo);
   const __m256d vhi = _mm256_set1_pd(interval.hi);
-  return BitmapImpl(values.data(), range, interval, out, 4,
-                    [&](const double* p) {
-                      return MatchMaskPd(_mm256_loadu_pd(p), vlo, vhi);
-                    });
+  return AndMatchWordsImpl(values.data(), range, interval, words, 4,
+                           [&](const double* p) {
+                             return MatchMaskPd(_mm256_loadu_pd(p), vlo, vhi);
+                           });
 }
 
 // ===========================================================================

@@ -15,8 +15,11 @@
 /// them directly.
 ///
 /// Semantics contract (see DESIGN.md "SIMD kernel layer"):
-///  * CountMatches / MaterializeMatches / BitmapMatches are exact and
-///    bit-identical to the scalar kernels in scan/scan_kernel.h.
+///  * CountMatches / MaterializeMatches are exact and bit-identical to
+///    the scalar kernels in scan/scan_kernel.h.
+///  * AndMatchWords (the conjunction kernel) is exact: the same words
+///    (bit j of word k is row range.begin + 64k + j; bits past the range
+///    cleared), the same own/kept popcounts, for any range alignment.
 ///  * Integer SumMatchesCounted accumulates in 64-bit lanes and converts
 ///    the exact integer total once; identical to the scalar double
 ///    accumulator while every prefix sum stays below 2^53 (the documented
@@ -42,8 +45,8 @@ namespace avx2 {
   int64_t MaterializeMatches(std::span<const T> values, RowRange range,      \
                              ValueInterval<T> interval, SelectionVector* out,\
                              int64_t base);                                  \
-  int64_t BitmapMatches(std::span<const T> values, RowRange range,           \
-                        ValueInterval<T> interval, BitVector* out);          \
+  WordMatches AndMatchWords(std::span<const T> values, RowRange range,      \
+                            ValueInterval<T> interval, uint64_t* words);     \
   MinMax<T> ComputeMinMax(std::span<const T> values, int64_t begin,          \
                           int64_t end)
 

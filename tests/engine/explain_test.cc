@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "adaskip/engine/session.h"
+#include "adaskip/storage/table.h"
 #include "adaskip/workload/data_generator.h"
 
 namespace adaskip {
@@ -164,8 +167,74 @@ TEST(ExplainTest, ConjunctionTraceHasPerPredicateSpans) {
     EXPECT_EQ(child.name, "predicate");
     EXPECT_EQ(child.Attr("column"), "x");
   }
-  ASSERT_NE(root.FindChild("scan"), nullptr);
+  // Each term reports how many candidate rows it matched by itself. The
+  // second term's window lies inside the first's, so it filters exactly
+  // the conjunction; the first keeps at least that many.
+  const QueryStats& stats = explained->result.stats;
+  ASSERT_EQ(probe->children.size(), 2u);
+  EXPECT_GE(std::stoll(std::string(probe->children[0].Attr("own_matches"))),
+            stats.rows_matched);
+  EXPECT_EQ(probe->children[1].Attr("own_matches"),
+            std::to_string(stats.rows_matched));
+  EXPECT_GT(stats.rows_matched, 0);
+  const obs::TraceSpan* scan = root.FindChild("scan");
+  ASSERT_NE(scan, nullptr);
+  EXPECT_EQ(scan->Attr("rows_scanned_packed"),
+            std::to_string(stats.rows_scanned_packed));
   ASSERT_NE(root.FindChild("adapt"), nullptr);
+}
+
+// Same span shape as the single-predicate path on packed segments: the
+// conjunction's scan span reports the packed rows, and own_matches per
+// term equal naive counts over the scanned rows.
+TEST(ExplainTest, ConjunctionTraceReportsPackedRowsAndOwnMatches) {
+  constexpr int64_t kSegmentRows = 4096;
+  constexpr int64_t kRows = 3 * kSegmentRows + 100;
+  std::vector<int64_t> x(kRows);
+  std::vector<int64_t> y(kRows);
+  for (int64_t i = 0; i < kRows; ++i) {
+    x[static_cast<size_t>(i)] = (i * 37) % 200;  // Packs at 8 bits.
+    y[static_cast<size_t>(i)] = (i * 11) % 1000;
+  }
+  Session session;
+  auto table = std::make_shared<Table>("t");
+  ASSERT_TRUE(table->AddColumn("x", MakeColumn(x, kSegmentRows)).ok());
+  ASSERT_TRUE(table->AddColumn("y", MakeColumn(y, kSegmentRows)).ok());
+  ASSERT_TRUE(session.RegisterTable(table).ok());
+  SegmentLayoutOptions layout;
+  layout.enabled = true;
+  layout.policy.min_rows = kSegmentRows;
+  ASSERT_TRUE(session.SetSegmentLayoutOptions("t", layout).ok());
+  Query query = Query::Count(Predicate::Between<int64_t>("x", 10, 90));
+  query.predicates.push_back(Predicate::Between<int64_t>("y", 100, 600));
+  Result<Explanation> explained = session.Explain("t", query);
+  ASSERT_TRUE(explained.ok());
+  const QueryStats& stats = explained->result.stats;
+  EXPECT_GT(stats.rows_scanned_packed, 0);
+  const obs::TraceSpan& root = explained->result.trace->root();
+  const obs::TraceSpan* scan = root.FindChild("scan");
+  ASSERT_NE(scan, nullptr);
+  EXPECT_EQ(scan->Attr("rows_scanned_packed"),
+            std::to_string(stats.rows_scanned_packed));
+
+  int64_t own_x = 0;
+  int64_t own_y = 0;
+  int64_t both = 0;
+  for (int64_t i = 0; i < kRows; ++i) {
+    const bool in_x = x[static_cast<size_t>(i)] >= 10 &&
+                      x[static_cast<size_t>(i)] <= 90;
+    const bool in_y = y[static_cast<size_t>(i)] >= 100 &&
+                      y[static_cast<size_t>(i)] <= 600;
+    own_x += in_x ? 1 : 0;
+    own_y += in_y ? 1 : 0;
+    both += (in_x && in_y) ? 1 : 0;
+  }
+  EXPECT_EQ(explained->result.count, both);
+  const obs::TraceSpan* probe = root.FindChild("probe");
+  ASSERT_NE(probe, nullptr);
+  ASSERT_EQ(probe->children.size(), 2u);
+  EXPECT_EQ(probe->children[0].Attr("own_matches"), std::to_string(own_x));
+  EXPECT_EQ(probe->children[1].Attr("own_matches"), std::to_string(own_y));
 }
 
 }  // namespace

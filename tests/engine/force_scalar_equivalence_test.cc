@@ -121,7 +121,7 @@ Outcome RunWorkload(bool force_scalar, int num_threads) {
     run(Query::Materialize(pred));
     const double dlo = -200.0 + static_cast<double>(step) * 13.5;
     run(Query::Sum(Predicate::Between<double>("y", dlo, dlo + 40.25)));
-    // Conjunction: materialize-then-filter across both columns.
+    // Conjunction: match words ANDed across both columns.
     Query conj = Query::Count(pred);
     conj.predicates.push_back(
         Predicate::Between<double>("y", -100.0, 150.0));

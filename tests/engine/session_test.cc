@@ -241,24 +241,21 @@ TEST(SessionTest, WorkloadStatsSummaryMentionsQueries) {
             std::string::npos);
 }
 
-// The ONE sanctioned use of the deprecated one-query-at-a-time entry
-// point: prove the shim forwards to ExecuteSpec unchanged. Every other
-// call site has been migrated; new code builds a QuerySpec.
-TEST(SessionTest, DeprecatedExecuteShimForwardsToExecuteSpec) {
+// A bare query wrapped by QuerySpec::Simple answers the same on every
+// submission, and each submission counts in the workload stats.
+TEST(SessionTest, SimpleSpecRepeatsAndCountsEachSubmission) {
   Session session;
   ASSERT_TRUE(session.CreateTable("t").ok());
   ASSERT_TRUE(session.AddColumn<int64_t>("t", "x", {1, 2, 3, 4, 5}).ok());
   const Query query = Query::Count(Predicate::Between<int64_t>("x", 2, 4));
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  Result<QueryResult> via_shim = session.Execute("t", query);
-#pragma GCC diagnostic pop
-  Result<QueryResult> via_spec =
+  Result<QueryResult> first =
       session.ExecuteSpec(QuerySpec::Simple("t", query));
-  ASSERT_TRUE(via_shim.ok());
-  ASSERT_TRUE(via_spec.ok());
-  EXPECT_EQ(via_shim->count, 3);
-  EXPECT_EQ(via_spec->count, via_shim->count);
+  Result<QueryResult> second =
+      session.ExecuteSpec(QuerySpec::Simple("t", query));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first->count, 3);
+  EXPECT_EQ(second->count, first->count);
   EXPECT_EQ(session.workload_stats().num_queries(), 2);
 }
 

@@ -89,15 +89,27 @@ TYPED_TEST(ScanKernelTypedTest, BitmapMatchesAgreesWithMaterialize) {
   std::vector<T> values = RandomValues<T>(700, 7);
   std::span<const T> span(values);
   ValueInterval<T> interval{static_cast<T>(-50), static_cast<T>(50)};
-  RowRange range{0, 700};
-  BitVector bitmap(700);
-  int64_t count = BitmapMatches(span, range, interval, &bitmap);
+  // Off a 64-row boundary on both ends: the last word is partial.
+  RowRange range{5, 690};
+  std::vector<uint64_t> words(MatchWordsFor(range.size()), ~uint64_t{0});
+  const WordMatches wm = AndMatchWords(span, range, interval, words.data());
   SelectionVector rows = reference::MaterializeMatches(span, range, interval);
-  EXPECT_EQ(count, rows.size());
-  EXPECT_EQ(bitmap.CountOnes(), rows.size());
-  for (int64_t i = 0; i < rows.size(); ++i) {
-    EXPECT_TRUE(bitmap.Get(rows[i]));
+  EXPECT_EQ(wm.own, rows.size());
+  EXPECT_EQ(wm.kept, rows.size());
+  SelectionVector from_words;
+  for (int64_t j = 0; j < range.size(); ++j) {
+    if ((words[j / 64] >> (j % 64)) & 1) from_words.Append(range.begin + j);
   }
+  EXPECT_EQ(from_words, rows);
+  // ANDing the same predicate again keeps every bit; a disjoint interval
+  // clears them all, while its own count still counts its own matches.
+  EXPECT_EQ(AndMatchWords(span, range, interval, words.data()).kept,
+            rows.size());
+  const ValueInterval<T> above{static_cast<T>(51),
+                               std::numeric_limits<T>::max()};
+  const WordMatches none = AndMatchWords(span, range, above, words.data());
+  EXPECT_EQ(none.kept, 0);
+  EXPECT_EQ(none.own, reference::CountMatches(span, range, above));
 }
 
 TYPED_TEST(ScanKernelTypedTest, MinMaxMatchesFindsExtremes) {

@@ -4,7 +4,9 @@
 // point (lo == hi) intervals, and NaN-bearing float columns — the
 // dispatch-scalar table, the AVX2 table (when the host has one), and the
 // packed-segment kernels all agree bit for bit, and agree with the
-// reference kernels wherever the contract says "exact".
+// reference kernels wherever the contract says "exact". That covers the
+// conjunction words kernel too, over ranges whose first word starts off
+// a 64-row boundary and whose last word is partial.
 
 #include <bit>
 #include <cmath>
@@ -136,12 +138,42 @@ void CheckTablesAgree(const simd::KernelOps<T>& want,
     ASSERT_EQ(rows_want[i], rows_got[i]) << "at " << i;
   }
 
-  BitVector bits_want(n), bits_got(n);
-  ASSERT_EQ(want.bitmap_matches(values, range, interval, &bits_want),
-            got.bitmap_matches(values, range, interval, &bits_got));
-  for (int64_t i = 0; i < n; ++i) {
-    ASSERT_EQ(bits_want.Get(i), bits_got.Get(i)) << "bit " << i;
+  // Words kernel: seeded with one shared pseudo-random pattern so the AND
+  // (not just the store) is compared; the range's begin sits anywhere in
+  // the span, so word 0 starts off a 64-row boundary and the last word is
+  // usually partial.
+  const int64_t num_words = MatchWordsFor(range.size());
+  std::vector<uint64_t> words_want(static_cast<size_t>(num_words));
+  for (int64_t k = 0; k < num_words; ++k) {
+    words_want[static_cast<size_t>(k)] =
+        (k % 3 == 0) ? ~uint64_t{0} : 0x9e3779b97f4a7c15ULL * (k + 1);
   }
+  std::vector<uint64_t> words_got = words_want;
+  std::vector<uint64_t> words_ref = words_want;
+  const WordMatches ww =
+      want.and_match_words(values, range, interval, words_want.data());
+  const WordMatches wg =
+      got.and_match_words(values, range, interval, words_got.data());
+  ASSERT_EQ(ww.own, wg.own);
+  ASSERT_EQ(ww.kept, wg.kept);
+  ASSERT_EQ(words_want, words_got);
+  // ... and both equal the naive per-row definition.
+  int64_t own_ref = 0;
+  int64_t kept_ref = 0;
+  for (int64_t j = 0; j < range.size(); ++j) {
+    uint64_t& word = words_ref[static_cast<size_t>(j / 64)];
+    const uint64_t bit = uint64_t{1} << (j % 64);
+    const bool match = interval.Contains(values[range.begin + j]);
+    own_ref += match ? 1 : 0;
+    if (!match) word &= ~bit;
+    kept_ref += (word & bit) != 0 ? 1 : 0;
+  }
+  if (range.size() % 64 != 0) {  // Bits past the range are cleared.
+    words_ref.back() &= (uint64_t{1} << (range.size() % 64)) - 1;
+  }
+  ASSERT_EQ(wg.own, own_ref);
+  ASSERT_EQ(wg.kept, kept_ref);
+  ASSERT_EQ(words_got, words_ref);
 
   if (range.begin < range.end) {
     const MinMax<T> cw = want.compute_min_max(values, range.begin, range.end);
@@ -291,6 +323,17 @@ void SweepPacked(uint64_t seed) {
       for (int64_t i = 0; i < rows_packed.size(); ++i) {
         ASSERT_EQ(rows_packed[i], rows_raw[i]);
       }
+
+      std::vector<uint64_t> words_packed(
+          static_cast<size_t>(MatchWordsFor(range.size())), ~uint64_t{0});
+      std::vector<uint64_t> words_raw = words_packed;
+      const WordMatches wp =
+          PackedAndMatchWords(packed, range, interval, words_packed.data());
+      const WordMatches wr =
+          simd::AndMatchWords<T>(values, range, interval, words_raw.data());
+      ASSERT_EQ(wp.own, wr.own);
+      ASSERT_EQ(wp.kept, wr.kept);
+      ASSERT_EQ(words_packed, words_raw);
     }
   }
 }
