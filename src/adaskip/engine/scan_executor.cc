@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -51,20 +52,6 @@ std::string Query::ToString() const {
 
 namespace {
 
-/// ParallelFor plus pool job metrics. The metrics live here rather than
-/// in util/thread_pool.cc because util/ sits below obs/ in the layering
-/// DAG; the executor is the pool's only production driver.
-template <typename F>
-void InstrumentedParallelFor(ThreadPool* pool, int64_t num_tasks, F&& fn) {
-  ADASKIP_METRIC_COUNTER(jobs, "adaskip.pool.jobs",
-                         "Parallel jobs submitted to thread pools");
-  ADASKIP_METRIC_HISTOGRAM(tasks, "adaskip.pool.tasks_per_job",
-                           "Task count per submitted parallel job");
-  jobs.Increment();
-  tasks.Observe(num_tasks);
-  pool->ParallelFor(num_tasks, std::forward<F>(fn));
-}
-
 /// The aggregation target column of `query` (defaults to the first
 /// predicate's column).
 std::string_view AggregateColumnOf(const Query& query) {
@@ -95,16 +82,19 @@ struct Morsel {
 /// `segment_rows` so every morsel sits inside one storage segment (and
 /// can be scanned through a single contiguous span). Because segment
 /// sizes are powers of two, multiples of the *smallest* segment size
-/// among several columns are boundaries for all of them.
+/// among several columns are boundaries for all of them — and the next
+/// boundary is a mask away, not a division.
 std::vector<Morsel> BuildMorsels(const std::vector<RowRange>& ranges,
                                  int64_t morsel_rows, int64_t segment_rows) {
+  ADASKIP_DCHECK(std::has_single_bit(static_cast<uint64_t>(segment_rows)));
   morsel_rows = std::max<int64_t>(morsel_rows, 1);
   std::vector<Morsel> morsels;
+  morsels.reserve(ranges.size());
   for (size_t r = 0; r < ranges.size(); ++r) {
     const RowRange& range = ranges[r];
     int64_t begin = range.begin;
     while (begin < range.end) {
-      const int64_t boundary = (begin / segment_rows + 1) * segment_rows;
+      const int64_t boundary = (begin | (segment_rows - 1)) + 1;
       const int64_t end =
           std::min({begin + morsel_rows, boundary, range.end});
       morsels.push_back({{begin, end}, static_cast<int64_t>(r)});
@@ -128,15 +118,100 @@ obs::TraceSpan MakeProbeSpan(const QueryStats& stats) {
   return span;
 }
 
-/// Builds the "adapt" trace span for one index by diffing its adaptation
-/// profile across the query; `describe_before` is consumed only at
-/// kDetail (pass empty otherwise).
-obs::TraceSpan MakeAdaptSpan(const SkipIndex& index,
-                             const AdaptationProfile& before, bool detail,
-                             std::string describe_before) {
-  const AdaptationProfile after = index.GetAdaptationProfile();
+/// True when the query has one predicate and its aggregate reads that
+/// predicate's own column. Such a query scans one column: the fused
+/// per-aggregate kernels answer it, and a shared batch can answer it from
+/// the predicate's match positions. Every other query is evaluated as
+/// match words ANDed per morsel.
+bool AggregatesOwnColumn(const Query& query) {
+  return query.predicates.size() == 1 &&
+         (query.aggregate == AggregateKind::kCount ||
+          query.aggregate == AggregateKind::kMaterialize ||
+          AggregateColumnOf(query) == query.predicates[0].column);
+}
+
+/// One predicate of a query, from its probe to its query-complete
+/// feedback: the column it filters, the synced index serving it (nullptr
+/// scans the whole column), what the probe returned, and — when tracing —
+/// the index state the adapt span diffs against.
+struct Term {
+  const Predicate* pred = nullptr;
+  const Column* column = nullptr;
+  SkipIndex* index = nullptr;
+  std::vector<RowRange> candidates;
+  ProbeStats probe;
+  int64_t tail_rows = 0;
+  // Rows of the query's scanned candidates matching this predicate alone:
+  // the currency of its index's feedback (a zonemap predicts its own
+  // column's selectivity, not the conjunction's).
+  int64_t own_matches = 0;
+  AdaptationProfile profile_before;
+  std::string describe_before;
+
+  std::string_view index_name() const {
+    return index != nullptr ? index->name() : "none";
+  }
+};
+
+/// Begin step of a term: fetches the column's synced index (a stale index
+/// fails the query), captures the index state when `trace` is non-null,
+/// and probes. Without an index the whole column is one candidate range.
+/// The probe's accounting adds to `stats`.
+Status BeginTerm(const Table& table, IndexManager* indexes,
+                 const Predicate& pred, const obs::QueryTrace* trace,
+                 Term* term, QueryStats* stats) {
+  term->pred = &pred;
+  ADASKIP_ASSIGN_OR_RETURN(term->column, table.ColumnByName(pred.column));
+  if (indexes != nullptr) {
+    ADASKIP_ASSIGN_OR_RETURN(term->index, indexes->GetSyncedIndex(pred.column));
+  }
+  const int64_t rows = term->column->size();
+  if (term->index != nullptr) {
+    term->tail_rows = term->index->UnindexedTailRows();
+    if (trace != nullptr) {
+      term->profile_before = term->index->GetAdaptationProfile();
+      if (trace->detail()) term->describe_before = term->index->Describe();
+    }
+    Stopwatch probe_timer;
+    term->index->Probe(pred, &term->candidates, &term->probe);
+    stats->probe_nanos += probe_timer.ElapsedNanos();
+  } else if (rows > 0) {
+    term->candidates.push_back({0, rows});
+    term->probe.zones_candidate = 1;
+  }
+  stats->probe.Add(term->probe);
+  stats->tail_rows += term->tail_rows;
+  ADASKIP_DCHECK(CandidatesAreWellFormed(term->candidates, rows));
+  return Status::OK();
+}
+
+/// Finish step of a term, after its range feedback: hands the index the
+/// query-complete summary (`stats` holds the query's totals) and drains
+/// the adaptation time and tail rows the query cost into `stats`. When
+/// tracing, returns the term's "adapt" span, which diffs the index's
+/// adaptation profile across the query.
+std::optional<obs::TraceSpan> FinishTerm(Term* term,
+                                         const obs::QueryTrace* trace,
+                                         QueryStats* stats) {
+  SkipIndex* index = term->index;
+  if (index == nullptr) return std::nullopt;
+  QueryFeedback feedback;
+  feedback.rows_total = stats->rows_total;
+  feedback.rows_scanned = stats->rows_scanned;
+  feedback.rows_matched = term->own_matches;
+  feedback.probe = term->probe;
+  index->OnQueryComplete(*term->pred, feedback);
+  const int64_t adapt_nanos = index->TakeAdaptationNanos();
+  const int64_t tail_rows_scanned = index->TakeTailRowsScanned();
+  stats->adapt_nanos += adapt_nanos;
+  stats->tail_rows_scanned += tail_rows_scanned;
+  if (trace == nullptr) return std::nullopt;
+
+  const AdaptationProfile& before = term->profile_before;
+  const AdaptationProfile after = index->GetAdaptationProfile();
   obs::TraceSpan span("adapt");
-  span.Set("index", index.name())
+  span.duration_nanos = adapt_nanos;
+  span.Set("index", index->name())
       .Set("zones_refined", after.zones_refined - before.zones_refined)
       .Set("zones_merged", after.zones_merged - before.zones_merged)
       .Set("rebuilds", after.rebuilds - before.rebuilds)
@@ -147,96 +222,145 @@ obs::TraceSpan MakeAdaptSpan(const SkipIndex& index,
       .Set("net_benefit_per_row", after.net_benefit_per_row)
       .Set("skip_ewma", after.skipped_fraction_ewma)
       .Set("entries_per_row_ewma", after.entries_per_row_ewma)
-      .Set("queries_observed", after.queries_observed);
-  if (detail) {
-    span.Set("index_before", std::move(describe_before));
-    span.Set("index_after", index.Describe());
+      .Set("queries_observed", after.queries_observed)
+      .Set("tail_rows_scanned", tail_rows_scanned);
+  if (trace->detail()) {
+    span.Set("index_before", std::move(term->describe_before));
+    span.Set("index_after", index->Describe());
   }
   return span;
 }
 
-/// Caller-side accumulators for ScanPiece: sum/min/max land here (min
-/// and max only when the piece matched at least one row), materialized
-/// row ids append to `rows`, and packed-kernel coverage adds to
-/// `packed_rows`.
+/// Kernel and fold time of one RunMorsels call.
+struct MorselTimes {
+  int64_t scan_nanos = 0;  // Summed scan(m) time (CPU, not wall clock).
+  int64_t fold_nanos = 0;  // Post-barrier fold time; 0 without a pool.
+};
+
+/// Runs `scan(m)` for every morsel and `fold(m)` over them in morsel
+/// order. Without a pool each morsel is folded right behind its scan, its
+/// data still in cache; with one, the workers scan every morsel and the
+/// calling thread folds them after the barrier. Either way the folds see
+/// the same morsels in the same order, so whatever they accumulate — and
+/// the feedback they deliver — does not depend on the thread count. Scans
+/// only read shared state and write their own morsel's slot; everything
+/// else, index mutation included, belongs to the fold.
+template <typename Scan, typename Fold>
+MorselTimes RunMorsels(ThreadPool* pool, size_t num_morsels, Scan&& scan,
+                       Fold&& fold) {
+  MorselTimes times;
+  if (pool == nullptr) {
+    for (size_t m = 0; m < num_morsels; ++m) {
+      Stopwatch scan_timer;
+      scan(m);
+      times.scan_nanos += scan_timer.ElapsedNanos();
+      fold(m);
+    }
+    return times;
+  }
+  // Pool job metrics live here rather than in util/thread_pool.cc because
+  // util/ sits below obs/ in the layering DAG.
+  ADASKIP_METRIC_COUNTER(jobs, "adaskip.pool.jobs",
+                         "Parallel jobs submitted to thread pools");
+  ADASKIP_METRIC_HISTOGRAM(tasks, "adaskip.pool.tasks_per_job",
+                           "Task count per submitted parallel job");
+  jobs.Increment();
+  tasks.Observe(static_cast<int64_t>(num_morsels));
+  std::vector<int64_t> worker_nanos(static_cast<size_t>(pool->num_workers()),
+                                    0);
+  pool->ParallelFor(static_cast<int64_t>(num_morsels),
+                    [&](int64_t m, int worker) {
+                      Stopwatch scan_timer;
+                      scan(static_cast<size_t>(m));
+                      worker_nanos[static_cast<size_t>(worker)] +=
+                          scan_timer.ElapsedNanos();
+                    });
+  for (int64_t nanos : worker_nanos) times.scan_nanos += nanos;
+  Stopwatch fold_timer;
+  for (size_t m = 0; m < num_morsels; ++m) fold(m);
+  times.fold_nanos = fold_timer.ElapsedNanos();
+  return times;
+}
+
+/// What ScanPiece accumulates over the pieces it is handed: the match
+/// count, sum (kSum), min/max of the matches (kMin/kMax; untouched while
+/// nothing matched), materialized row ids (kMaterialize), and the rows a
+/// packed-segment kernel served.
 template <typename T>
-struct PieceAccumulators {
-  double* sum;
-  T* min_v;
-  T* max_v;
-  SelectionVector* rows;
-  int64_t* packed_rows;
+struct ScanPartial {
+  int64_t matches = 0;
+  double sum = 0.0;
+  T min = std::numeric_limits<T>::max();
+  T max = std::numeric_limits<T>::lowest();
+  SelectionVector rows;
+  int64_t packed_rows = 0;
 };
 
 /// Scans one segment-contained piece of `column` with the kernel
-/// matching `aggregate` and returns its match count. Integer segments
+/// matching `aggregate` and adds its answer to `out`. Integer segments
 /// that adopted a packed layout scan through the packed-domain kernels
 /// (in segment-local coordinates); everything else goes through the
 /// dispatched (AVX2 or scalar) raw kernels over the segment span. Both
 /// routes are bit-identical by contract, so the choice is invisible in
 /// results — only in speed and in the rows_scanned_packed stat.
 template <typename T>
-int64_t ScanPiece(const TypedColumn<T>& column, RowRange piece,
-                  AggregateKind aggregate, const ValueInterval<T>& interval,
-                  PieceAccumulators<T> acc) {
+void ScanPiece(const TypedColumn<T>& column, RowRange piece,
+               AggregateKind aggregate, const ValueInterval<T>& interval,
+               ScanPartial<T>* out) {
+  auto add_sum = [out](SumCount<T> sc) {
+    out->sum += sc.sum;
+    out->matches += sc.count;
+  };
+  auto add_min_max = [out](MinMaxCount<T> mmc) {
+    if (mmc.count > 0) {
+      out->min = std::min(out->min, mmc.min);
+      out->max = std::max(out->max, mmc.max);
+    }
+    out->matches += mmc.count;
+  };
   if constexpr (std::is_integral_v<T>) {
     const PackedSegment<T>* packed =
         column.packed_segment(column.SegmentOf(piece.begin));
     if (packed != nullptr) {
       const int64_t off = column.OffsetInSegment(piece.begin);
       const RowRange local{off, off + piece.size()};
-      *acc.packed_rows += piece.size();
+      out->packed_rows += piece.size();
       switch (aggregate) {
         case AggregateKind::kCount:
-          return PackedCountMatches(*packed, local, interval);
-        case AggregateKind::kSum: {
-          const SumCount<T> sc =
-              PackedSumMatchesCounted(*packed, local, interval);
-          *acc.sum += sc.sum;
-          return sc.count;
-        }
+          out->matches += PackedCountMatches(*packed, local, interval);
+          return;
+        case AggregateKind::kSum:
+          return add_sum(PackedSumMatchesCounted(*packed, local, interval));
         case AggregateKind::kMin:
-        case AggregateKind::kMax: {
-          const MinMaxCount<T> mmc =
-              PackedMinMaxMatchesCounted(*packed, local, interval);
-          if (mmc.count > 0) {
-            *acc.min_v = std::min(*acc.min_v, mmc.min);
-            *acc.max_v = std::max(*acc.max_v, mmc.max);
-          }
-          return mmc.count;
-        }
+        case AggregateKind::kMax:
+          return add_min_max(
+              PackedMinMaxMatchesCounted(*packed, local, interval));
         case AggregateKind::kMaterialize:
-          return PackedMaterializeMatches(*packed, local, interval, acc.rows,
-                                          /*base_row=*/piece.begin - off);
+          out->matches +=
+              PackedMaterializeMatches(*packed, local, interval, &out->rows,
+                                       /*base_row=*/piece.begin - off);
+          return;
       }
-      return 0;
+      return;
     }
   }
   const std::span<const T> values = column.SpanFor(piece);
   const RowRange local{0, piece.size()};
   switch (aggregate) {
     case AggregateKind::kCount:
-      return simd::CountMatches(values, local, interval);
-    case AggregateKind::kSum: {
-      const SumCount<T> sc = simd::SumMatchesCounted(values, local, interval);
-      *acc.sum += sc.sum;
-      return sc.count;
-    }
+      out->matches += simd::CountMatches(values, local, interval);
+      return;
+    case AggregateKind::kSum:
+      return add_sum(simd::SumMatchesCounted(values, local, interval));
     case AggregateKind::kMin:
-    case AggregateKind::kMax: {
-      const MinMaxCount<T> mmc =
-          simd::MinMaxMatchesCounted(values, local, interval);
-      if (mmc.count > 0) {
-        *acc.min_v = std::min(*acc.min_v, mmc.min);
-        *acc.max_v = std::max(*acc.max_v, mmc.max);
-      }
-      return mmc.count;
-    }
+    case AggregateKind::kMax:
+      return add_min_max(simd::MinMaxMatchesCounted(values, local, interval));
     case AggregateKind::kMaterialize:
-      return simd::MaterializeMatches(values, local, interval, acc.rows,
-                                      /*base=*/piece.begin);
+      out->matches += simd::MaterializeMatches(values, local, interval,
+                                               &out->rows,
+                                               /*base=*/piece.begin);
+      return;
   }
-  return 0;
 }
 
 /// The conjunction twin of ScanPiece: ANDs the match words of
@@ -333,14 +457,16 @@ Status ValidateExecOptions(const ExecOptions& options) {
 Status ScanExecutor::set_exec_options(const ExecOptions& options) {
   ADASKIP_DCHECK_SERIAL(exec_serial_);
   ADASKIP_RETURN_IF_ERROR(ValidateExecOptions(options));
-  options_ = options;  // The pool is (re)sized lazily by pool().
+  options_ = options;  // The pool is (re)sized lazily by MorselPool().
   return Status::OK();
 }
 
-ThreadPool* ScanExecutor::pool() {
-  const int workers = std::max(options_.num_threads, 1);
-  if (pool_ == nullptr || pool_->num_workers() != workers) {
-    pool_ = std::make_unique<ThreadPool>(workers);
+ThreadPool* ScanExecutor::MorselPool(int64_t candidate_rows) {
+  if (options_.num_threads <= 1 || candidate_rows <= options_.morsel_rows) {
+    return nullptr;
+  }
+  if (pool_ == nullptr || pool_->num_workers() != options_.num_threads) {
+    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
   return pool_.get();
 }
@@ -380,7 +506,7 @@ Result<QueryResult> ScanExecutor::Execute(const Query& query) {
   ADASKIP_DCHECK_SERIAL(exec_serial_);
   ADASKIP_RETURN_IF_ERROR(ValidateQuery(query));
 
-  Result<QueryResult> result = ExecuteValidated(query);
+  Result<QueryResult> result = ExecuteConjunction(query, options_.trace_level);
   if (result.ok()) RecordQueryMetrics(result.value().stats);
   return result;
 }
@@ -409,7 +535,6 @@ SharedBatchResult ScanExecutor::ExecuteShared(
     Status error;  // kFailed: this query's own failure; batch proceeds.
     // kShared only:
     const Column* column = nullptr;
-    SkipIndex* index = nullptr;  // nullptr scans the peeked full range.
     std::vector<RowRange> peek;  // Canonical planning candidates.
     SelectionVector matches;     // Global match rows, ascending.
     int64_t kernel_nanos = 0;    // This predicate's shared-kernel time.
@@ -439,16 +564,13 @@ SharedBatchResult ScanExecutor::ExecuteShared(
       slot.error = std::move(validation);
       continue;
     }
-    const bool aggregates_predicate_column =
-        query.aggregate == AggregateKind::kCount ||
-        query.aggregate == AggregateKind::kMaterialize ||
-        AggregateColumnOf(query) == query.predicates[0].column;
-    if (query.predicates.size() > 1 || !aggregates_predicate_column) {
+    if (!AggregatesOwnColumn(query)) {
       slot.lane = Lane::kSolo;  // Runs standalone at its submission turn.
       continue;
     }
     const Predicate& pred = query.predicates[0];
     slot.column = table_->ColumnByName(pred.column).value();
+    SkipIndex* index = nullptr;  // nullptr scans the peeked full range.
     if (indexes_ != nullptr) {
       Result<SkipIndex*> synced = indexes_->GetSyncedIndex(pred.column);
       if (!synced.ok()) {
@@ -458,7 +580,7 @@ SharedBatchResult ScanExecutor::ExecuteShared(
         slot.error = synced.status();
         continue;
       }
-      slot.index = synced.value();
+      index = synced.value();
     }
     slot.lane = Lane::kShared;
     ++shared_count;
@@ -469,8 +591,8 @@ SharedBatchResult ScanExecutor::ExecuteShared(
       ++slots[leader_it->second].group_size;
       continue;
     }
-    if (slot.index != nullptr) {
-      slot.index->PeekCandidates(pred, &slot.peek);
+    if (index != nullptr) {
+      index->PeekCandidates(pred, &slot.peek);
     } else if (slot.column->size() > 0) {
       slot.peek.push_back({0, slot.column->size()});
     }
@@ -510,9 +632,9 @@ SharedBatchResult ScanExecutor::ExecuteShared(
     out.pass.morsels = static_cast<int64_t>(morsels.size());
     morsel_hits.resize(morsels.size());
 
-    auto scan_morsel = [&](int64_t m, int /*worker*/) {
-      const RowRange window = morsels[static_cast<size_t>(m)].rows;
-      std::vector<Hit>& hits = morsel_hits[static_cast<size_t>(m)];
+    auto scan_morsel = [&](size_t m) {
+      const RowRange window = morsels[m].rows;
+      std::vector<Hit>& hits = morsel_hits[m];
       for (size_t i = 0; i < n; ++i) {
         const Slot& slot = slots[i];
         if (slot.lane != Lane::kShared || slot.share_of != i) continue;
@@ -523,12 +645,14 @@ SharedBatchResult ScanExecutor::ExecuteShared(
           const TypedColumn<T>& typed = *slot.column->As<T>();
           const ValueInterval<T> interval =
               batch[i].query->predicates[0].ToInterval<T>();
+          ScanPartial<T> part;
           ForEachOverlap(slot.peek, window, [&](RowRange piece) {
             hit.rows += piece.size();
             ScanPiece(typed, piece, AggregateKind::kMaterialize, interval,
-                      PieceAccumulators<T>{nullptr, nullptr, nullptr, &hit.sel,
-                                           &hit.packed_rows});
+                      &part);
           });
+          hit.sel = std::move(part.rows);
+          hit.packed_rows = part.packed_rows;
         });
         if (hit.rows == 0) continue;  // This query skips this morsel.
         hit.nanos = hit_timer.ElapsedNanos();
@@ -536,33 +660,23 @@ SharedBatchResult ScanExecutor::ExecuteShared(
       }
     };
 
-    if (options_.num_threads > 1 &&
-        TotalRows(union_ranges) > options_.morsel_rows) {
-      InstrumentedParallelFor(pool(), static_cast<int64_t>(morsels.size()),
-                              scan_morsel);
-    } else {
-      for (int64_t m = 0; m < static_cast<int64_t>(morsels.size()); ++m) {
-        scan_morsel(m, 0);
-      }
-    }
-
-    // Deterministic merge, coordinator-side: morsels ascend in row order
-    // and each morsel's hits ascend in slot order, so every query's
-    // match positions come out sorted — the property the per-range
-    // feedback reconstruction below binary-searches on.
-    for (std::vector<Hit>& hits : morsel_hits) {
-      for (Hit& hit : hits) {
-        Slot& slot = slots[hit.slot];
-        for (int64_t r = 0; r < hit.sel.size(); ++r) {
-          slot.matches.Append(hit.sel[r]);
-        }
-        slot.kernel_rows += hit.rows;
-        slot.packed_rows += hit.packed_rows;
-        slot.kernel_nanos += hit.nanos;
-        out.pass.kernel_rows += hit.rows;
-        out.pass.scan_nanos += hit.nanos;
-      }
-    }
+    // The fold merges each morsel's hits on this thread, in morsel order:
+    // morsels ascend in row order and each morsel's hits ascend in slot
+    // order, so every query's match positions come out sorted — the
+    // property the per-range feedback reconstruction below binary-searches
+    // on.
+    RunMorsels(MorselPool(out.pass.unique_rows), morsels.size(), scan_morsel,
+               [&](size_t m) {
+                 for (Hit& hit : morsel_hits[m]) {
+                   Slot& slot = slots[hit.slot];
+                   for (int64_t row : hit.sel.rows()) slot.matches.Append(row);
+                   slot.kernel_rows += hit.rows;
+                   slot.packed_rows += hit.packed_rows;
+                   slot.kernel_nanos += hit.nanos;
+                   out.pass.kernel_rows += hit.rows;
+                   out.pass.scan_nanos += hit.nanos;
+                 }
+               });
   }
 
   // --- Replay, in submission order. ---
@@ -587,59 +701,43 @@ SharedBatchResult ScanExecutor::ExecuteShared(
     }
     if (slot.lane == Lane::kSolo) {
       ++out.pass.solo_queries;
-      const obs::TraceLevel saved = options_.trace_level;
-      options_.trace_level = batch[i].trace_level;
-      Result<QueryResult> solo = ExecuteValidated(*batch[i].query);
-      options_.trace_level = saved;
+      Result<QueryResult> solo =
+          ExecuteConjunction(*batch[i].query, batch[i].trace_level);
       if (solo.ok()) RecordQueryMetrics(solo.value().stats);
       out.results.push_back(std::move(solo));
       continue;
     }
 
-    ++out.pass.shared_queries;
     Stopwatch replay_timer;
-    // The slot whose kernels answered this query: itself, or — for a
-    // repeated predicate — its group leader. Physical attribution is
-    // split evenly across the group (the scan ran once for all of them).
-    Slot& owner = slots[slot.share_of];
-    const int64_t kernel_nanos_share = owner.kernel_nanos / owner.group_size;
-    const int64_t packed_rows_share = owner.packed_rows / owner.group_size;
     const Query& query = *batch[i].query;
-    const Predicate& pred = query.predicates[0];
-    QueryResult result;
-    result.aggregate = query.aggregate;
-    QueryStats& stats = result.stats;
-    stats.rows_total = slot.column->size();
-    stats.shared_batch_width = shared_count;
-    stats.index_name =
-        slot.index != nullptr ? std::string(slot.index->name()) : "none";
-    stats.tail_rows =
-        slot.index != nullptr ? slot.index->UnindexedTailRows() : 0;
-
     std::shared_ptr<obs::QueryTrace> trace;
     if (batch[i].trace_level != obs::TraceLevel::kOff) {
       trace = std::make_shared<obs::QueryTrace>(batch[i].trace_level);
       trace->root().Set("query", query.ToString());
       trace->root().Set("shared_batch_width", shared_count);
     }
-    AdaptationProfile profile_before;
-    std::string describe_before;
-    if (trace != nullptr && slot.index != nullptr) {
-      profile_before = slot.index->GetAdaptationProfile();
-      if (trace->detail()) describe_before = slot.index->Describe();
+    QueryResult result;
+    result.aggregate = query.aggregate;
+    QueryStats& stats = result.stats;
+    Term term;
+    if (Status begun = BeginTerm(*table_, indexes_, query.predicates[0],
+                                 trace.get(), &term, &stats);
+        !begun.ok()) {
+      ++out.pass.failed_queries;
+      out.results.emplace_back(std::move(begun));
+      continue;
     }
-
-    std::vector<RowRange> candidates;
-    Stopwatch probe_timer;
-    if (slot.index != nullptr) {
-      slot.index->Probe(pred, &candidates, &stats.probe);
-    } else if (slot.column->size() > 0) {
-      candidates.push_back({0, slot.column->size()});
-      stats.probe.zones_candidate = 1;
-    }
-    stats.probe_nanos = probe_timer.ElapsedNanos();
-    stats.candidate_ranges = static_cast<int64_t>(candidates.size());
-    ADASKIP_DCHECK(CandidatesAreWellFormed(candidates, slot.column->size()));
+    ++out.pass.shared_queries;
+    // The slot whose kernels answered this query: itself, or — for a
+    // repeated predicate — its group leader. Physical attribution is
+    // split evenly across the group (the scan ran once for all of them).
+    Slot& owner = slots[slot.share_of];
+    const int64_t kernel_nanos_share = owner.kernel_nanos / owner.group_size;
+    const int64_t packed_rows_share = owner.packed_rows / owner.group_size;
+    stats.rows_total = slot.column->size();
+    stats.shared_batch_width = shared_count;
+    stats.index_name = term.index_name();
+    stats.candidate_ranges = static_cast<int64_t>(term.candidates.size());
     if (trace != nullptr) trace->root().AddChild(MakeProbeSpan(stats));
 
     // Serial-equivalent feedback: rows_scanned counts this probe's own
@@ -647,9 +745,8 @@ SharedBatchResult ScanExecutor::ExecuteShared(
     // the shared kernels' physical coverage, so EWMAs and skip metrics
     // evolve exactly as under serial execution.
     const std::vector<int64_t>& match_rows = owner.matches.rows();
-    int64_t replayed_matches = 0;
     auto cursor = match_rows.begin();
-    for (const RowRange& range : candidates) {
+    for (const RowRange& range : term.candidates) {
       // Candidate ranges ascend, so each range's matches begin where the
       // previous range's ended: searching only the remaining suffix keeps
       // the reconstruction near-linear instead of log(n) from scratch per
@@ -658,15 +755,16 @@ SharedBatchResult ScanExecutor::ExecuteShared(
       const auto hi = std::lower_bound(lo, match_rows.end(), range.end);
       cursor = hi;
       const int64_t range_matches = static_cast<int64_t>(hi - lo);
-      replayed_matches += range_matches;
+      term.own_matches += range_matches;
       stats.rows_scanned += range.size();
-      if (slot.index != nullptr) {
-        slot.index->OnRangeScanned(pred, RangeFeedback{range, range_matches});
+      if (term.index != nullptr) {
+        term.index->OnRangeScanned(*term.pred,
+                                   RangeFeedback{range, range_matches});
       }
     }
     // Superset contract check: every shared match must fall inside this
     // probe's candidate set, or the feedback above undercounted.
-    ADASKIP_DCHECK(replayed_matches == owner.matches.size());
+    ADASKIP_DCHECK(term.own_matches == owner.matches.size());
     stats.rows_matched = owner.matches.size();
     stats.scan_nanos = kernel_nanos_share;
     stats.rows_scanned_packed = packed_rows_share;
@@ -716,23 +814,9 @@ SharedBatchResult ScanExecutor::ExecuteShared(
       trace->root().AddChild(std::move(scan_span));
     }
 
-    if (slot.index != nullptr) {
-      QueryFeedback feedback;
-      feedback.rows_total = stats.rows_total;
-      feedback.rows_scanned = stats.rows_scanned;
-      feedback.rows_matched = stats.rows_matched;
-      feedback.probe = stats.probe;
-      slot.index->OnQueryComplete(pred, feedback);
-      stats.adapt_nanos = slot.index->TakeAdaptationNanos();
-      stats.tail_rows_scanned = slot.index->TakeTailRowsScanned();
-      if (trace != nullptr) {
-        obs::TraceSpan adapt_span =
-            MakeAdaptSpan(*slot.index, profile_before, trace->detail(),
-                          std::move(describe_before));
-        adapt_span.duration_nanos = stats.adapt_nanos;
-        adapt_span.Set("tail_rows_scanned", stats.tail_rows_scanned);
-        trace->root().AddChild(std::move(adapt_span));
-      }
+    if (std::optional<obs::TraceSpan> adapt_span =
+            FinishTerm(&term, trace.get(), &stats)) {
+      trace->root().AddChild(std::move(*adapt_span));
     }
 
     if (query.aggregate == AggregateKind::kMaterialize) {
@@ -779,521 +863,241 @@ SharedBatchResult ScanExecutor::ExecuteShared(
   return out;
 }
 
-Result<QueryResult> ScanExecutor::ExecuteValidated(const Query& query) {
-  const bool aggregates_predicate_column =
-      query.aggregate == AggregateKind::kCount ||
-      query.aggregate == AggregateKind::kMaterialize ||
-      AggregateColumnOf(query) == query.predicates[0].column;
-  if (query.predicates.size() > 1 || !aggregates_predicate_column) {
-    return ExecuteConjunction(query);
-  }
-
-  ADASKIP_ASSIGN_OR_RETURN(const Column* column,
-                           table_->ColumnByName(query.predicates[0].column));
-  return DispatchDataType(
-      column->type(), [&](auto tag) -> Result<QueryResult> {
-        using T = typename decltype(tag)::type;
-        return ExecuteSingleTyped<T>(query, *column->As<T>());
-      });
-}
-
-template <typename T>
-void ScanExecutor::ScanSingleParallel(const Query& query,
-                                      const TypedColumn<T>& column,
-                                      const std::vector<RowRange>& candidates,
-                                      SkipIndex* index, obs::QueryTrace* trace,
-                                      QueryResult* result) {
-  QueryStats& stats = result->stats;
-  const Predicate& pred = query.predicates[0];
-  const ValueInterval<T> interval = pred.ToInterval<T>();
-  const bool materialize = query.aggregate == AggregateKind::kMaterialize;
-
-  std::vector<Morsel> morsels =
-      BuildMorsels(candidates, options_.morsel_rows, column.segment_rows());
-
-  // Per-morsel partials. Each slot is written by exactly one worker, and
-  // the coordinator reads them only after the ParallelFor barrier — this
-  // is the thread-safe feedback funnel: workers never touch the index.
-  struct Partial {
-    int64_t matches = 0;
-    double sum = 0.0;
-    T min = std::numeric_limits<T>::max();
-    T max = std::numeric_limits<T>::lowest();
-    int64_t packed_rows = 0;
-  };
-  std::vector<Partial> partials(morsels.size());
-  std::vector<SelectionVector> selections(materialize ? morsels.size() : 0);
-
-  ThreadPool* workers = pool();
-  stats.parallel_workers = workers->num_workers();
-  std::vector<int64_t> worker_nanos(
-      static_cast<size_t>(workers->num_workers()), 0);
-
-  InstrumentedParallelFor(
-      workers, static_cast<int64_t>(morsels.size()),
-      [&](int64_t m, int worker) {
-        Stopwatch scan_timer;
-        const RowRange rows = morsels[static_cast<size_t>(m)].rows;
-        // Each morsel is segment-contained (BuildMorsels), so it is one
-        // piece: ScanPiece picks the packed or dispatched raw kernel.
-        Partial& partial = partials[static_cast<size_t>(m)];
-        SelectionVector* sel =
-            materialize ? &selections[static_cast<size_t>(m)] : nullptr;
-        partial.matches = ScanPiece(
-            column, rows, query.aggregate, interval,
-            PieceAccumulators<T>{&partial.sum, &partial.min, &partial.max, sel,
-                                 &partial.packed_rows});
-        worker_nanos[static_cast<size_t>(worker)] += scan_timer.ElapsedNanos();
-      });
-
-  // Deterministic merge: morsel order is ascending row order, independent
-  // of the thread count, so counts/min/max (and SUM, whose reduction tree
-  // is fixed by the morsel layout) match across all worker counts, and
-  // the materialized row ids come out exactly as the serial scan emits
-  // them. Afterwards the buffered feedback is replayed per candidate
-  // range, in range order — the exact sequence the serial path produces —
-  // so adaptation stays deterministic and single-threaded.
-  Stopwatch merge_timer;
-  int64_t matched = 0;
-  double sum = 0.0;
-  T min_v = std::numeric_limits<T>::max();
-  T max_v = std::numeric_limits<T>::lowest();
-  for (size_t m = 0; m < morsels.size(); ++m) {
-    const Partial& partial = partials[m];
-    matched += partial.matches;
-    sum += partial.sum;
-    if (partial.matches > 0) {
-      min_v = std::min(min_v, partial.min);
-      max_v = std::max(max_v, partial.max);
-    }
-    stats.rows_scanned += morsels[m].rows.size();
-    stats.rows_scanned_packed += partial.packed_rows;
-  }
-  if (materialize) {
-    int64_t total_rows = 0;
-    for (const SelectionVector& sel : selections) total_rows += sel.size();
-    result->rows.Reserve(total_rows);
-    for (const SelectionVector& sel : selections) {
-      for (int64_t i = 0; i < sel.size(); ++i) result->rows.Append(sel[i]);
-    }
-  }
-  if (index != nullptr) {
-    size_t m = 0;
-    for (size_t r = 0; r < candidates.size(); ++r) {
-      int64_t range_matches = 0;
-      for (; m < morsels.size() &&
-             morsels[m].range_index == static_cast<int64_t>(r);
-           ++m) {
-        range_matches += partials[m].matches;
-      }
-      index->OnRangeScanned(pred, RangeFeedback{candidates[r], range_matches});
-    }
-  }
-  stats.merge_nanos = merge_timer.ElapsedNanos();
-  for (int64_t nanos : worker_nanos) stats.scan_nanos += nanos;
-
-  stats.rows_matched = matched;
-  result->count = matched;
-  result->sum = sum;
-  if (matched > 0) {
-    result->min = static_cast<double>(min_v);
-    result->max = static_cast<double>(max_v);
-  }
-
-  if (trace != nullptr) {
-    obs::TraceSpan scan_span("scan");
-    scan_span.duration_nanos = stats.scan_nanos;
-    scan_span.Set("rows_scanned", stats.rows_scanned)
-        .Set("rows_scanned_packed", stats.rows_scanned_packed)
-        .Set("rows_matched", matched)
-        .Set("kernel_path", simd::ActiveKernelPathName())
-        .Set("parallel_workers", stats.parallel_workers)
-        .Set("morsels", static_cast<int64_t>(morsels.size()))
-        .Set("merge_nanos", stats.merge_nanos);
-    if (trace->detail()) {
-      const int64_t limit = obs::QueryTrace::kMaxDetailChildren;
-      for (size_t m = 0;
-           m < morsels.size() && static_cast<int64_t>(m) < limit; ++m) {
-        obs::TraceSpan child("morsel");
-        child.Set("begin", morsels[m].rows.begin)
-            .Set("end", morsels[m].rows.end)
-            .Set("matches", partials[m].matches);
-        scan_span.AddChild(std::move(child));
-      }
-      if (static_cast<int64_t>(morsels.size()) > limit) {
-        scan_span.Set("detail_elided",
-                      static_cast<int64_t>(morsels.size()) - limit);
-      }
-    }
-    trace->root().AddChild(std::move(scan_span));
-  }
-}
-
-template <typename T>
-Result<QueryResult> ScanExecutor::ExecuteSingleTyped(
-    const Query& query, const TypedColumn<T>& column) {
-  Stopwatch total_timer;
-  const Predicate& pred = query.predicates[0];
-  QueryResult result;
-  result.aggregate = query.aggregate;
-  QueryStats& stats = result.stats;
-  stats.rows_total = column.size();
-
-  // Tracing is opt-in per query batch: at kOff no trace object exists and
-  // every capture site below is a skipped null check.
-  std::shared_ptr<obs::QueryTrace> trace;
-  if (options_.trace_level != obs::TraceLevel::kOff) {
-    trace = std::make_shared<obs::QueryTrace>(options_.trace_level);
-    trace->root().Set("query", query.ToString());
-  }
-
-  SkipIndex* index = nullptr;
-  if (indexes_ != nullptr) {
-    ADASKIP_ASSIGN_OR_RETURN(index, indexes_->GetSyncedIndex(pred.column));
-  }
-  stats.index_name = index != nullptr ? std::string(index->name()) : "none";
-  stats.tail_rows = index != nullptr ? index->UnindexedTailRows() : 0;
-
-  AdaptationProfile profile_before;
-  std::string describe_before;
-  if (trace != nullptr && index != nullptr) {
-    profile_before = index->GetAdaptationProfile();
-    if (trace->detail()) describe_before = index->Describe();
-  }
-
-  // Probe.
-  std::vector<RowRange> candidates;
-  Stopwatch probe_timer;
-  if (index != nullptr) {
-    index->Probe(pred, &candidates, &stats.probe);
-  } else if (column.size() > 0) {
-    candidates.push_back({0, column.size()});
-    stats.probe.zones_candidate = 1;
-  }
-  stats.probe_nanos = probe_timer.ElapsedNanos();
-  stats.candidate_ranges = static_cast<int64_t>(candidates.size());
-  ADASKIP_DCHECK(CandidatesAreWellFormed(candidates, column.size()));
-  if (trace != nullptr) trace->root().AddChild(MakeProbeSpan(stats));
-
-  if (options_.num_threads > 1 &&
-      TotalRows(candidates) > options_.morsel_rows) {
-    ScanSingleParallel(query, column, candidates, index, trace.get(), &result);
-  } else {
-    // Serial path: scan candidates with the kernel matching the
-    // aggregate, feeding the index per-range feedback as each range
-    // finishes (data still hot). Candidate ranges may span storage
-    // segments (full scans, imprints blocks, catch-all tails), so each
-    // is decomposed into segment-contained pieces; the feedback still
-    // covers the *original* range — skip structures see the same
-    // feedback stream the pre-segmentation executor produced.
-    const ValueInterval<T> interval = pred.ToInterval<T>();
-    double sum = 0.0;
-    T min_v = std::numeric_limits<T>::max();
-    T max_v = std::numeric_limits<T>::lowest();
-    int64_t matched = 0;
-    obs::TraceSpan scan_span("scan");
-    for (const RowRange& range : candidates) {
-      Stopwatch scan_timer;
-      int64_t range_matches = 0;
-      column.ForEachPiece(range, [&](RowRange piece) {
-        range_matches += ScanPiece(
-            column, piece, query.aggregate, interval,
-            PieceAccumulators<T>{&sum, &min_v, &max_v, &result.rows,
-                                 &stats.rows_scanned_packed});
-      });
-      stats.scan_nanos += scan_timer.ElapsedNanos();
-      stats.rows_scanned += range.size();
-      matched += range_matches;
-      if (trace != nullptr && trace->detail() &&
-          static_cast<int64_t>(scan_span.children.size()) <
-              obs::QueryTrace::kMaxDetailChildren) {
-        obs::TraceSpan child("range");
-        child.Set("begin", range.begin)
-            .Set("end", range.end)
-            .Set("matches", range_matches);
-        scan_span.AddChild(std::move(child));
-      }
-      if (index != nullptr) {
-        index->OnRangeScanned(pred, RangeFeedback{range, range_matches});
-      }
-    }
-    stats.rows_matched = matched;
-    result.count = matched;
-    result.sum = sum;
-    if (matched > 0) {
-      result.min = static_cast<double>(min_v);
-      result.max = static_cast<double>(max_v);
-    }
-    if (trace != nullptr) {
-      scan_span.duration_nanos = stats.scan_nanos;
-      scan_span.Set("rows_scanned", stats.rows_scanned)
-          .Set("rows_scanned_packed", stats.rows_scanned_packed)
-          .Set("rows_matched", matched)
-          .Set("kernel_path", simd::ActiveKernelPathName());
-      const int64_t elided = static_cast<int64_t>(candidates.size()) -
-                             static_cast<int64_t>(scan_span.children.size());
-      if (trace->detail() && elided > 0) {
-        scan_span.Set("detail_elided", elided);
-      }
-      trace->root().AddChild(std::move(scan_span));
-    }
-  }
-
-  if (index != nullptr) {
-    QueryFeedback feedback;
-    feedback.rows_total = stats.rows_total;
-    feedback.rows_scanned = stats.rows_scanned;
-    feedback.rows_matched = stats.rows_matched;
-    feedback.probe = stats.probe;
-    index->OnQueryComplete(pred, feedback);
-    stats.adapt_nanos = index->TakeAdaptationNanos();
-    stats.tail_rows_scanned = index->TakeTailRowsScanned();
-    if (trace != nullptr) {
-      obs::TraceSpan adapt_span = MakeAdaptSpan(
-          *index, profile_before, trace->detail(), std::move(describe_before));
-      adapt_span.duration_nanos = stats.adapt_nanos;
-      adapt_span.Set("tail_rows_scanned", stats.tail_rows_scanned);
-      trace->root().AddChild(std::move(adapt_span));
-    }
-  }
-
-  stats.total_nanos = total_timer.ElapsedNanos();
-  if (trace != nullptr) {
-    trace->root().duration_nanos = stats.total_nanos;
-    result.trace = std::move(trace);
-  }
-  return result;
-}
-
-Result<QueryResult> ScanExecutor::ExecuteConjunction(const Query& query) {
+Result<QueryResult> ScanExecutor::ExecuteConjunction(
+    const Query& query, obs::TraceLevel trace_level) {
   Stopwatch total_timer;
   QueryResult result;
   result.aggregate = query.aggregate;
   QueryStats& stats = result.stats;
   stats.rows_total = table_->num_rows();
-  stats.index_name = "conjunction";
+  const size_t num_terms = query.predicates.size();
+  // A query scanning only its own column keeps the single-predicate
+  // shape: fused kernels, the index's name, flat probe and adapt spans.
+  // Anything else is a conjunction of match words with per-term spans.
+  const bool fused = AggregatesOwnColumn(query);
 
-  const size_t num_preds = query.predicates.size();
-
+  // Tracing is opt-in per query: at kOff no trace object exists and every
+  // capture site below is a skipped null check.
   std::shared_ptr<obs::QueryTrace> trace;
-  if (options_.trace_level != obs::TraceLevel::kOff) {
-    trace = std::make_shared<obs::QueryTrace>(options_.trace_level);
+  if (trace_level != obs::TraceLevel::kOff) {
+    trace = std::make_shared<obs::QueryTrace>(trace_level);
     trace->root().Set("query", query.ToString());
   }
-  std::vector<AdaptationProfile> profiles_before(num_preds);
-  std::vector<std::string> describes_before(num_preds);
 
-  // Probe each predicated column and intersect the candidate sets,
-  // keeping per-predicate accounting so adaptation feedback can be
-  // attributed to each column's own index afterwards.
-  Stopwatch probe_timer;
-  std::vector<SkipIndex*> pred_index(num_preds, nullptr);
-  std::vector<ProbeStats> pred_probe(num_preds);
-  std::vector<const Column*> pred_column(num_preds, nullptr);
-  std::vector<RowRange> candidates;
+  // --- Probe every term. ---
+  //
+  // One term scans its probe output as is: normalizing would merge
+  // adjacent zones' ranges and coarsen the zone-exact feedback. Several
+  // terms intersect their normalized candidate sets.
+  std::vector<Term> terms(num_terms);
   int64_t min_segment_rows = std::numeric_limits<int64_t>::max();
-  for (size_t p = 0; p < num_preds; ++p) {
-    const Predicate& pred = query.predicates[p];
-    pred_column[p] = table_->ColumnByName(pred.column).value();
-    min_segment_rows =
-        std::min(min_segment_rows, pred_column[p]->segment_rows());
-    std::vector<RowRange> column_candidates;
-    SkipIndex* index = nullptr;
-    if (indexes_ != nullptr) {
-      ADASKIP_ASSIGN_OR_RETURN(index, indexes_->GetSyncedIndex(pred.column));
-    }
-    pred_index[p] = index;
-    if (index != nullptr) {
-      if (trace != nullptr) {
-        profiles_before[p] = index->GetAdaptationProfile();
-        if (trace->detail()) describes_before[p] = index->Describe();
-      }
-      stats.tail_rows += index->UnindexedTailRows();
-      index->Probe(pred, &column_candidates, &pred_probe[p]);
-    } else if (table_->num_rows() > 0) {
-      column_candidates.push_back({0, table_->num_rows()});
-      pred_probe[p].zones_candidate += 1;
-    }
-    NormalizeRanges(&column_candidates);
-    if (p == 0) {
-      candidates = std::move(column_candidates);
-    } else {
-      candidates = IntersectRanges(candidates, column_candidates);
-    }
-    stats.probe.Add(pred_probe[p]);
+  for (size_t p = 0; p < num_terms; ++p) {
+    Term& term = terms[p];
+    ADASKIP_RETURN_IF_ERROR(BeginTerm(*table_, indexes_, query.predicates[p],
+                                      trace.get(), &term, &stats));
+    min_segment_rows = std::min(min_segment_rows, term.column->segment_rows());
   }
-  stats.probe_nanos = probe_timer.ElapsedNanos();
+  std::vector<RowRange> candidates = std::move(terms[0].candidates);
+  if (num_terms > 1) {
+    Stopwatch intersect_timer;
+    NormalizeRanges(&candidates);
+    for (size_t p = 1; p < num_terms; ++p) {
+      NormalizeRanges(&terms[p].candidates);
+      candidates = IntersectRanges(candidates, terms[p].candidates);
+    }
+    stats.probe_nanos += intersect_timer.ElapsedNanos();
+  }
   stats.candidate_ranges = static_cast<int64_t>(candidates.size());
+  stats.rows_scanned = TotalRows(candidates);
+  stats.index_name = fused ? terms[0].index_name() : "conjunction";
 
-  // Evaluate the conjunction morsel-wise as match words: each predicate
-  // ANDs its bits into the morsel's words in one branch-free pass over
-  // its column, so every column is read once and no row ids exist until
-  // an aggregate asks for them. The popcount of a predicate's own bits is
-  // the currency of its index's range feedback (a zonemap predicts its
-  // own column's selectivity, not the conjunction's); the popcount of the
-  // ANDed words is the morsel's COUNT. Morsels split at the smallest
-  // predicate column's segment size, which (power-of-two sizes) is a
-  // segment boundary for every predicate column — so each morsel maps to
-  // one contiguous span, or one packed segment, per column.
-  std::vector<Morsel> morsels =
+  // --- Scan morsel by morsel, fold in morsel order. ---
+  //
+  // Morsels never cross a candidate range and split at the smallest term
+  // column's segment size, which (power-of-two sizes) is a segment
+  // boundary for every term column — so each morsel maps to one
+  // contiguous span, or one packed segment, per column.
+  const std::vector<Morsel> morsels =
       BuildMorsels(candidates, options_.morsel_rows, min_segment_rows);
-  std::vector<int64_t> first_word(morsels.size() + 1, 0);
-  for (size_t m = 0; m < morsels.size(); ++m) {
-    first_word[m + 1] = first_word[m] + MatchWordsFor(morsels[m].rows.size());
-  }
-  const std::unique_ptr<uint64_t[]> match_words =
-      std::make_unique_for_overwrite<uint64_t[]>(
-          static_cast<size_t>(first_word.back()));
-  std::vector<int64_t> own_matches(morsels.size() * num_preds, 0);
-  std::vector<int64_t> morsel_matches(morsels.size(), 0);
-  std::vector<int64_t> packed_rows(morsels.size(), 0);
+  ThreadPool* workers = MorselPool(stats.rows_scanned);
+  if (workers != nullptr) stats.parallel_workers = workers->num_workers();
 
-  auto scan_morsel = [&](int64_t m) {
-    const RowRange rows = morsels[static_cast<size_t>(m)].rows;
-    uint64_t* words = &match_words[static_cast<size_t>(first_word[m])];
-    std::fill_n(words, MatchWordsFor(rows.size()), ~uint64_t{0});
-    for (size_t p = 0; p < num_preds; ++p) {
-      const Predicate& pred = query.predicates[p];
-      DispatchDataType(pred_column[p]->type(), [&](auto tag) {
-        using T = typename decltype(tag)::type;
-        // Like rows_scanned, rows_scanned_packed counts each morsel once,
-        // under the first predicate's layout.
-        const WordMatches wm = AndPieceWords(
-            *pred_column[p]->As<T>(), rows, pred.ToInterval<T>(), words,
-            p == 0 ? &packed_rows[static_cast<size_t>(m)] : nullptr);
-        own_matches[static_cast<size_t>(m) * num_preds + p] = wm.own;
-        morsel_matches[static_cast<size_t>(m)] = wm.kept;
-      });
-    }
-  };
-
-  // Runs every morsel, then `fold(m)` over each morsel's surviving rows in
-  // morsel (= row) order — right behind the scan on one thread (the
-  // morsel's data still in cache), after the barrier on several. Either
-  // way the fold sees the same rows in the same order, so SUM's
-  // sequential double accumulation, MIN/MAX ties and materialized row ids
-  // are identical for every thread count.
+  // Range feedback: each term's own matches add up over a candidate
+  // range's morsels, and folding the range's last morsel hands them to
+  // the term's index — the per-range stream an adaptive index learns
+  // from, delivered in range order whatever the thread count.
   int64_t matched = 0;
-  auto run_morsels = [&](auto&& fold) {
-    Stopwatch scan_timer;
-    if (options_.num_threads > 1 && morsels.size() > 1) {
-      ThreadPool* workers = pool();
-      stats.parallel_workers = workers->num_workers();
-      std::vector<int64_t> worker_nanos(
-          static_cast<size_t>(workers->num_workers()), 0);
-      InstrumentedParallelFor(workers, static_cast<int64_t>(morsels.size()),
-                              [&](int64_t m, int worker) {
-                                Stopwatch morsel_timer;
-                                scan_morsel(m);
-                                worker_nanos[static_cast<size_t>(worker)] +=
-                                    morsel_timer.ElapsedNanos();
-                              });
-      for (int64_t nanos : worker_nanos) stats.scan_nanos += nanos;
-      Stopwatch fold_timer;
-      for (size_t m = 0; m < morsels.size(); ++m) fold(m);
-      stats.merge_nanos += fold_timer.ElapsedNanos();
-    } else {
-      for (size_t m = 0; m < morsels.size(); ++m) {
-        scan_morsel(static_cast<int64_t>(m));
-        fold(m);
+  int64_t range_matched = 0;
+  std::vector<int64_t> range_own(num_terms, 0);
+  const bool detail = trace != nullptr && trace->detail();
+  obs::TraceSpan scan_span("scan");
+  auto fold_feedback = [&](size_t m, const int64_t* own, int64_t kept) {
+    matched += kept;
+    range_matched += kept;
+    for (size_t p = 0; p < num_terms; ++p) range_own[p] += own[p];
+    const int64_t r = morsels[m].range_index;
+    if (m + 1 < morsels.size() && morsels[m + 1].range_index == r) return;
+    const RowRange range = candidates[static_cast<size_t>(r)];
+    for (size_t p = 0; p < num_terms; ++p) {
+      Term& term = terms[p];
+      term.own_matches += range_own[p];
+      if (term.index != nullptr) {
+        term.index->OnRangeScanned(*term.pred,
+                                   RangeFeedback{range, range_own[p]});
       }
-      stats.scan_nanos = scan_timer.ElapsedNanos();
+      range_own[p] = 0;
     }
-    for (int64_t matches : morsel_matches) matched += matches;
+    if (detail && static_cast<int64_t>(scan_span.children.size()) <
+                      obs::QueryTrace::kMaxDetailChildren) {
+      obs::TraceSpan child("range");
+      child.Set("begin", range.begin)
+          .Set("end", range.end)
+          .Set("matches", range_matched);
+      scan_span.AddChild(std::move(child));
+    }
+    range_matched = 0;
   };
-  auto for_each_match = [&](size_t m, auto&& fn) {
-    ForEachSetRow(&match_words[static_cast<size_t>(first_word[m])],
-                  morsels[m].rows, fn);
-  };
-  switch (query.aggregate) {
-    case AggregateKind::kCount:
-      run_morsels([](size_t) {});
-      break;
-    case AggregateKind::kMaterialize:
-      run_morsels([&](size_t m) {
-        for_each_match(m, [&](int64_t row) { result.rows.Append(row); });
-      });
-      break;
-    case AggregateKind::kSum:
-    case AggregateKind::kMin:
-    case AggregateKind::kMax: {
-      const Column* agg_column =
-          table_->ColumnByName(AggregateColumnOf(query)).value();
-      DispatchDataType(agg_column->type(), [&](auto tag) {
-        using T = typename decltype(tag)::type;
-        const TypedColumn<T>& typed = *agg_column->As<T>();
-        double sum = 0.0;
-        T min_v = std::numeric_limits<T>::max();
-        T max_v = std::numeric_limits<T>::lowest();
-        run_morsels([&](size_t m) {
-          for_each_match(m, [&](int64_t row) {
-            const T v = typed.Get(row);
-            sum += static_cast<double>(v);
-            min_v = std::min(min_v, v);
-            max_v = std::max(max_v, v);
+
+  MorselTimes times;
+  if (fused) {
+    // The fused per-aggregate kernels, one partial per morsel. SUM's
+    // reduction tree is fixed by the morsel layout, so it is the same
+    // double at every thread count.
+    DispatchDataType(terms[0].column->type(), [&](auto tag) {
+      using T = typename decltype(tag)::type;
+      const TypedColumn<T>& column = *terms[0].column->As<T>();
+      const ValueInterval<T> interval = query.predicates[0].ToInterval<T>();
+      std::vector<ScanPartial<T>> partials(morsels.size());
+      double sum = 0.0;
+      T min_v = std::numeric_limits<T>::max();
+      T max_v = std::numeric_limits<T>::lowest();
+      times = RunMorsels(
+          workers, morsels.size(),
+          [&](size_t m) {
+            ScanPiece(column, morsels[m].rows, query.aggregate, interval,
+                      &partials[m]);
+          },
+          [&](size_t m) {
+            ScanPartial<T>& part = partials[m];
+            sum += part.sum;
+            if (part.matches > 0) {
+              min_v = std::min(min_v, part.min);
+              max_v = std::max(max_v, part.max);
+            }
+            for (int64_t row : part.rows.rows()) result.rows.Append(row);
+            part.rows = SelectionVector();
+            stats.rows_scanned_packed += part.packed_rows;
+            fold_feedback(m, &part.matches, part.matches);
           });
+      result.sum = sum;
+      if (matched > 0) {
+        result.min = static_cast<double>(min_v);
+        result.max = static_cast<double>(max_v);
+      }
+    });
+  } else {
+    // Match words: each term ANDs its bits into the morsel's words in one
+    // branch-free pass over its column, so every column is read once and
+    // no row ids exist until an aggregate asks for them. The popcount of
+    // a term's own bits feeds its index; the popcount of the ANDed words
+    // is the morsel's COUNT.
+    std::vector<int64_t> first_word(morsels.size() + 1, 0);
+    for (size_t m = 0; m < morsels.size(); ++m) {
+      first_word[m + 1] = first_word[m] + MatchWordsFor(morsels[m].rows.size());
+    }
+    const std::unique_ptr<uint64_t[]> match_words =
+        std::make_unique_for_overwrite<uint64_t[]>(
+            static_cast<size_t>(first_word.back()));
+    std::vector<int64_t> own_matches(morsels.size() * num_terms, 0);
+    std::vector<int64_t> morsel_matches(morsels.size(), 0);
+    std::vector<int64_t> packed_rows(morsels.size(), 0);
+    auto scan_morsel = [&](size_t m) {
+      const RowRange rows = morsels[m].rows;
+      uint64_t* words = &match_words[static_cast<size_t>(first_word[m])];
+      std::fill_n(words, MatchWordsFor(rows.size()), ~uint64_t{0});
+      for (size_t p = 0; p < num_terms; ++p) {
+        const Column* column = terms[p].column;
+        DispatchDataType(column->type(), [&](auto tag) {
+          using T = typename decltype(tag)::type;
+          // Like rows_scanned, rows_scanned_packed counts each morsel
+          // once, under the first term's layout.
+          const WordMatches wm = AndPieceWords(
+              *column->As<T>(), rows, query.predicates[p].ToInterval<T>(),
+              words, p == 0 ? &packed_rows[m] : nullptr);
+          own_matches[m * num_terms + p] = wm.own;
+          morsel_matches[m] = wm.kept;
         });
-        result.sum = sum;
-        if (matched > 0) {
-          result.min = static_cast<double>(min_v);
-          result.max = static_cast<double>(max_v);
-        }
-      });
-      break;
+      }
+    };
+    auto fold_morsel = [&](size_t m) {
+      stats.rows_scanned_packed += packed_rows[m];
+      fold_feedback(m, &own_matches[m * num_terms], morsel_matches[m]);
+    };
+    // Folds that first visit the morsel's surviving rows in row order.
+    auto fold_rows = [&](auto&& each_row) {
+      return [&, each_row](size_t m) {
+        ForEachSetRow(&match_words[static_cast<size_t>(first_word[m])],
+                      morsels[m].rows, each_row);
+        fold_morsel(m);
+      };
+    };
+    switch (query.aggregate) {
+      case AggregateKind::kCount:
+        times = RunMorsels(workers, morsels.size(), scan_morsel, fold_morsel);
+        break;
+      case AggregateKind::kMaterialize:
+        times = RunMorsels(
+            workers, morsels.size(), scan_morsel,
+            fold_rows([&](int64_t row) { result.rows.Append(row); }));
+        break;
+      case AggregateKind::kSum:
+      case AggregateKind::kMin:
+      case AggregateKind::kMax: {
+        const Column* agg_column =
+            table_->ColumnByName(AggregateColumnOf(query)).value();
+        DispatchDataType(agg_column->type(), [&](auto tag) {
+          using T = typename decltype(tag)::type;
+          const TypedColumn<T>& typed = *agg_column->As<T>();
+          double sum = 0.0;
+          T min_v = std::numeric_limits<T>::max();
+          T max_v = std::numeric_limits<T>::lowest();
+          times = RunMorsels(workers, morsels.size(), scan_morsel,
+                             fold_rows([&](int64_t row) {
+                               const T v = typed.Get(row);
+                               sum += static_cast<double>(v);
+                               min_v = std::min(min_v, v);
+                               max_v = std::max(max_v, v);
+                             }));
+          result.sum = sum;
+          if (matched > 0) {
+            result.min = static_cast<double>(min_v);
+            result.max = static_cast<double>(max_v);
+          }
+        });
+        break;
+      }
     }
   }
-
-  Stopwatch merge_timer;
-  for (const Morsel& morsel : morsels) stats.rows_scanned += morsel.rows.size();
-  for (int64_t rows : packed_rows) stats.rows_scanned_packed += rows;
+  stats.scan_nanos = times.scan_nanos;
+  stats.merge_nanos = times.fold_nanos;
   stats.rows_matched = matched;
   result.count = matched;
 
-  // Replay the buffered feedback: per candidate range in order, each
-  // indexed predicate learns how many of its own matches the range held.
-  // Adaptive structures mutate only here, on the coordinator thread.
-  std::vector<int64_t> pred_total_matches(num_preds, 0);
-  {
-    std::vector<int64_t> range_matches(num_preds, 0);
-    size_t m = 0;
-    for (size_t r = 0; r < candidates.size(); ++r) {
-      std::fill(range_matches.begin(), range_matches.end(), 0);
-      for (; m < morsels.size() &&
-             morsels[m].range_index == static_cast<int64_t>(r);
-           ++m) {
-        for (size_t p = 0; p < num_preds; ++p) {
-          range_matches[p] += own_matches[m * num_preds + p];
-        }
-      }
-      for (size_t p = 0; p < num_preds; ++p) {
-        pred_total_matches[p] += range_matches[p];
-        if (pred_index[p] != nullptr) {
-          pred_index[p]->OnRangeScanned(
-              query.predicates[p],
-              RangeFeedback{candidates[r], range_matches[p]});
-        }
-      }
-    }
-  }
-  stats.merge_nanos += merge_timer.ElapsedNanos();
   if (trace != nullptr) {
     obs::TraceSpan probe_span = MakeProbeSpan(stats);
-    for (size_t p = 0; p < num_preds; ++p) {
+    for (size_t p = 0; p < num_terms && !fused; ++p) {
+      const Term& term = terms[p];
       obs::TraceSpan child("predicate");
-      child
-          .Set("column", query.predicates[p].column)
-          .Set("index", pred_index[p] != nullptr
-                            ? std::string(pred_index[p]->name())
-                            : std::string("none"))
-          .Set("zones_candidate", pred_probe[p].zones_candidate)
-          .Set("zones_skipped", pred_probe[p].zones_skipped)
-          .Set("entries_read", pred_probe[p].entries_read)
-          .Set("own_matches", pred_total_matches[p]);
+      child.Set("column", term.pred->column)
+          .Set("index", term.index_name())
+          .Set("zones_candidate", term.probe.zones_candidate)
+          .Set("zones_skipped", term.probe.zones_skipped)
+          .Set("entries_read", term.probe.entries_read)
+          .Set("own_matches", term.own_matches);
       probe_span.AddChild(std::move(child));
     }
     trace->root().AddChild(std::move(probe_span));
 
-    obs::TraceSpan scan_span("scan");
     scan_span.duration_nanos = stats.scan_nanos;
     scan_span.Set("rows_scanned", stats.rows_scanned)
         .Set("rows_scanned_packed", stats.rows_scanned_packed)
@@ -1302,32 +1106,32 @@ Result<QueryResult> ScanExecutor::ExecuteConjunction(const Query& query) {
         .Set("morsels", static_cast<int64_t>(morsels.size()))
         .Set("parallel_workers", stats.parallel_workers)
         .Set("merge_nanos", stats.merge_nanos);
+    const int64_t elided = stats.candidate_ranges -
+                           static_cast<int64_t>(scan_span.children.size());
+    if (detail && elided > 0) scan_span.Set("detail_elided", elided);
     trace->root().AddChild(std::move(scan_span));
   }
 
-  obs::TraceSpan adapt_span("adapt");
-  for (size_t p = 0; p < num_preds; ++p) {
-    if (pred_index[p] == nullptr) continue;
-    QueryFeedback feedback;
-    feedback.rows_total = stats.rows_total;
-    feedback.rows_scanned = stats.rows_scanned;
-    feedback.rows_matched = pred_total_matches[p];
-    feedback.probe = pred_probe[p];
-    pred_index[p]->OnQueryComplete(query.predicates[p], feedback);
-    stats.adapt_nanos += pred_index[p]->TakeAdaptationNanos();
-    stats.tail_rows_scanned += pred_index[p]->TakeTailRowsScanned();
-    if (trace != nullptr) {
-      obs::TraceSpan child =
-          MakeAdaptSpan(*pred_index[p], profiles_before[p], trace->detail(),
-                        std::move(describes_before[p]));
-      child.Set("column", query.predicates[p].column);
-      adapt_span.AddChild(std::move(child));
+  // --- Finish every term: query-complete feedback and drains. ---
+  if (fused) {
+    if (std::optional<obs::TraceSpan> adapt_span =
+            FinishTerm(&terms[0], trace.get(), &stats)) {
+      trace->root().AddChild(std::move(*adapt_span));
     }
-  }
-  if (trace != nullptr) {
-    adapt_span.duration_nanos = stats.adapt_nanos;
-    adapt_span.Set("tail_rows_scanned", stats.tail_rows_scanned);
-    trace->root().AddChild(std::move(adapt_span));
+  } else {
+    obs::TraceSpan adapt_span("adapt");
+    for (Term& term : terms) {
+      if (std::optional<obs::TraceSpan> child =
+              FinishTerm(&term, trace.get(), &stats)) {
+        child->Set("column", term.pred->column);
+        adapt_span.AddChild(std::move(*child));
+      }
+    }
+    if (trace != nullptr) {
+      adapt_span.duration_nanos = stats.adapt_nanos;
+      adapt_span.Set("tail_rows_scanned", stats.tail_rows_scanned);
+      trace->root().AddChild(std::move(adapt_span));
+    }
   }
 
   stats.total_nanos = total_timer.ElapsedNanos();

@@ -17,12 +17,12 @@
 
 namespace adaskip {
 
-/// Execution knobs of one ScanExecutor. The default is the serial path,
-/// so every existing experiment stays comparable; num_threads > 1 turns
-/// on morsel-driven parallel scans.
+/// Execution knobs of one ScanExecutor. The default runs on the calling
+/// thread, so every existing experiment stays comparable; num_threads > 1
+/// turns on morsel-driven parallel scans.
 struct ExecOptions {
   /// Total worker count for candidate scanning (the coordinator thread
-  /// participates). <= 1 selects the serial path.
+  /// participates). 1 scans on the calling thread.
   int num_threads = 1;
 
   /// Target rows per morsel. Candidate ranges are split into morsels of
@@ -132,28 +132,30 @@ struct SharedBatchResult {
 /// metadata into actual skipped rows, and the place where every
 /// nanosecond of probe/scan/adaptation work is attributed.
 ///
-/// Single-predicate queries take a fully typed fast path. Multi-predicate
-/// (conjunction) queries intersect the candidate sets of all predicated
-/// columns and AND per-predicate 64-bit match words morsel by morsel,
-/// reading each column once. Both paths drive adaptation:
-/// each predicate's index receives per-range feedback counting that
-/// column's own matches, plus a query-complete summary.
+/// Every standalone query runs one morsel pipeline; a single predicate is
+/// a one-term conjunction. Each term's index is probed, the candidate sets
+/// are intersected (one term's probe output is used as is), and the
+/// candidate rows are split into morsels that are scanned and then folded
+/// in morsel order. A query whose aggregate reads its one predicate's
+/// column runs the fused per-aggregate kernels; any other query ANDs
+/// per-term 64-bit match words morsel by morsel, reading each column once.
+/// Both drive adaptation: each term's index receives per-range feedback
+/// counting that column's own matches, plus a query-complete summary.
 ///
-/// With ExecOptions::num_threads > 1 the candidate ranges are split into
-/// morsels and scanned by a resident ThreadPool. Workers only read; all
-/// feedback is buffered per morsel and replayed by the coordinator after
-/// the barrier, in candidate-range order, so adaptive structures never
-/// see concurrent mutation and adapt exactly as the serial path would.
-/// Results are merged in morsel order and are identical to the serial
-/// path (bit-identical for integer columns; for float columns the SUM
-/// reduction order is fixed by the morsel layout, which does not depend
-/// on the thread count).
+/// With ExecOptions::num_threads > 1 and more than one morsel's worth of
+/// candidate rows, a resident ThreadPool scans the morsels. Workers only
+/// read; the coordinator folds the morsels after the barrier and delivers
+/// each candidate range's feedback as its last morsel is folded — the
+/// same sequence as on one thread, where every morsel is folded right
+/// after its scan — so adaptive structures never see concurrent mutation
+/// and adapt identically at every thread count. Results are identical at
+/// every thread count too: for float columns the SUM reduction order is
+/// fixed by the morsel layout, which does not depend on the thread count.
 ///
-/// Columns are stored in fixed-capacity segments, so candidate ranges
-/// are decomposed into segment-contained pieces before the kernels run
-/// (morsels are additionally split at segment boundaries). Adaptation
+/// Columns are stored in fixed-capacity segments, so morsels are also
+/// split at segment boundaries before the kernels run. Adaptation
 /// feedback is still delivered once per *original* candidate range —
-/// summing piece matches — so skip structures see the same feedback
+/// summing morsel matches — so skip structures see the same feedback
 /// stream regardless of segmentation. Indexes are fetched through
 /// IndexManager::GetSyncedIndex: a query over a table that grew behind
 /// the index manager's back fails with FailedPrecondition instead of
@@ -185,8 +187,8 @@ class ScanExecutor {
   /// delivered — so after the batch, every index is bit-identical to
   /// what serial submission-order execution would have produced, and so
   /// are the per-query results (for float columns, SUM is exact-equal
-  /// only when row sums are exactly representable in double — the same
-  /// caveat the parallel scan carries).
+  /// only when row sums are exactly representable in double: the shared
+  /// pass sums row by row, a standalone scan per morsel).
   ///
   /// Per-query failure isolation: a query that fails validation (or
   /// whose index is stale) gets its own error entry and the rest of the
@@ -208,29 +210,20 @@ class ScanExecutor {
  private:
   Status ValidateQuery(const Query& query) const;
 
-  template <typename T>
-  Result<QueryResult> ExecuteSingleTyped(const Query& query,
-                                         const TypedColumn<T>& column);
+  /// The one pipeline behind every standalone query — Execute, and the
+  /// solo lane of ExecuteShared — at the given trace level. Probes each
+  /// term, splits the candidate rows into morsels, scans them (on the pool
+  /// when the scan is big enough) and folds them in morsel order, handing
+  /// each index per-range feedback as its ranges complete. A query
+  /// reading only its predicate's column runs the fused per-aggregate
+  /// kernels; any other query ANDs per-term 64-bit match words.
+  Result<QueryResult> ExecuteConjunction(const Query& query,
+                                         obs::TraceLevel trace_level);
 
-  /// Parallel tail of ExecuteSingleTyped: scans `candidates` morsel-wise
-  /// on the pool, merges partials deterministically, and replays feedback
-  /// into `index` (may be nullptr). Fills result/stats like the serial
-  /// loop does. `trace` may be nullptr (tracing off); at kDetail it
-  /// receives bounded per-morsel scan children.
-  template <typename T>
-  void ScanSingleParallel(const Query& query, const TypedColumn<T>& column,
-                          const std::vector<RowRange>& candidates,
-                          SkipIndex* index, obs::QueryTrace* trace,
-                          QueryResult* result);
-
-  /// Dispatches a validated query to the typed single-predicate fast path
-  /// or the conjunction path (metrics/trace-agnostic inner step).
-  Result<QueryResult> ExecuteValidated(const Query& query);
-
-  Result<QueryResult> ExecuteConjunction(const Query& query);
-
-  /// The resident worker pool, built on first parallel use.
-  ThreadPool* pool();
+  /// The resident worker pool when a scan of `candidate_rows` rows should
+  /// fan out — num_threads > 1 and more than one morsel's worth of rows —
+  /// and nullptr when it runs on the calling thread. Built on first use.
+  ThreadPool* MorselPool(int64_t candidate_rows);
 
   std::shared_ptr<const Table> table_;
   IndexManager* indexes_;

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <type_traits>
 
 #include "adaskip/scan/predicate.h"
 #include "adaskip/util/interval_set.h"
@@ -227,7 +228,9 @@ MinMax<T> MinMaxMatches(std::span<const T> values, RowRange range,
 }
 
 /// Min/max over *all* values in [begin, end) — the zonemap build and
-/// refinement primitive. Requires a non-empty range.
+/// refinement primitive. Requires a non-empty range. NaN never becomes a
+/// bound: float folds start from +inf/-inf and the ordered compares drop
+/// NaN, so an all-NaN range gets min > max and matches no predicate.
 template <typename T>
 MinMax<T> ComputeMinMax(std::span<const T> values, int64_t begin,
                         int64_t end) {
@@ -236,7 +239,11 @@ MinMax<T> ComputeMinMax(std::span<const T> values, int64_t begin,
   const T* __restrict data = values.data();
   T min_v = data[begin];
   T max_v = data[begin];
-  for (int64_t i = begin + 1; i < end; ++i) {
+  if constexpr (std::is_floating_point_v<T>) {
+    min_v = std::numeric_limits<T>::infinity();
+    max_v = -std::numeric_limits<T>::infinity();
+  }
+  for (int64_t i = begin; i < end; ++i) {
     const T v = data[i];
     min_v = v < min_v ? v : min_v;
     max_v = v > max_v ? v : max_v;

@@ -84,11 +84,11 @@ MinMax<T> StripedComputeMinMax(std::span<const T> values, int64_t begin,
   const T* __restrict data = values.data();
   T mins[W];
   T maxs[W];
-  // Broadcast seed (matches the AVX2 kernel): a NaN first element
-  // poisons every lane; lane 0 refolds data[begin] harmlessly.
+  // Infinity seeds (matching the AVX2 kernel): the ordered compares
+  // below drop NaN, so no lane ever holds a NaN bound.
   for (int k = 0; k < W; ++k) {
-    mins[k] = data[begin];
-    maxs[k] = data[begin];
+    mins[k] = std::numeric_limits<T>::infinity();
+    maxs[k] = -std::numeric_limits<T>::infinity();
   }
   for (int64_t i = begin; i < end; ++i) {
     const T v = data[i];

@@ -21,10 +21,10 @@
 ///    cannot change its bits: a lane accumulator can never be -0.0
 ///    (x + y == -0.0 in round-to-nearest only when both addends are
 ///    -0.0, and lanes start at +0.0), and acc + (+0.0) == acc otherwise.
-///  * ComputeMinMax broadcast-seeds every lane with data[begin]: a NaN
-///    first element poisons all lanes (matching the scalar seed), while
-///    a NaN later in the data is dropped by the ordered compare in its
-///    lane without losing that lane's other values.
+///  * float/double ComputeMinMax seeds every lane with +inf/-inf, and the
+///    ordered compares drop NaN in its lane without losing that lane's
+///    other values, so NaN never becomes a zone bound (matching the
+///    scalar fold); an all-NaN range yields min > max.
 
 #ifdef ADASKIP_HAVE_AVX2
 
@@ -827,12 +827,11 @@ MinMax<float> ComputeMinMax(std::span<const float> values, int64_t begin,
   ADASKIP_DCHECK(begin >= 0 && begin < end &&
                  end <= static_cast<int64_t>(values.size()));
   const float* data = values.data();
-  // Broadcast-seed all 8 lanes with data[begin]: a NaN seed poisons every
-  // lane (matching the scalar seed semantics); a mid-stream NaN is simply
-  // dropped by _CMP_LT_OQ/_CMP_GT_OQ in its lane without discarding the
-  // lane's other values. Striped fold, ordered lane combine.
-  __m256 vmin = _mm256_set1_ps(data[begin]);
-  __m256 vmax = vmin;
+  // Seed all 8 lanes with +inf/-inf; a NaN is dropped by
+  // _CMP_LT_OQ/_CMP_GT_OQ in its lane without discarding the lane's other
+  // values. Striped fold, ordered lane combine.
+  __m256 vmin = _mm256_set1_ps(std::numeric_limits<float>::infinity());
+  __m256 vmax = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
   int64_t i = begin;
   for (; i + 8 <= end; i += 8) {
     const __m256 v = _mm256_loadu_ps(data + i);
@@ -864,8 +863,8 @@ MinMax<double> ComputeMinMax(std::span<const double> values, int64_t begin,
   ADASKIP_DCHECK(begin >= 0 && begin < end &&
                  end <= static_cast<int64_t>(values.size()));
   const double* data = values.data();
-  __m256d vmin = _mm256_set1_pd(data[begin]);
-  __m256d vmax = vmin;
+  __m256d vmin = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  __m256d vmax = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
   int64_t i = begin;
   for (; i + 4 <= end; i += 4) {
     const __m256d v = _mm256_loadu_pd(data + i);

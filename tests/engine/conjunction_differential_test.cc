@@ -35,8 +35,7 @@ constexpr int64_t kMorselRows = 150;                // Neither.
 /// The table's payload, kept host-side for the naive oracle: i32 and i64
 /// (narrow ramps: they pack and their zones skip), f32 (±0 salted), f64
 /// (NaN and ±0 salted), and the third aggregate columns w (double, NaN
-/// salted) and k (int64). f64 stays unindexed: zone bounds do not yet
-/// leave NaN out, so a zone starting with NaN would be skipped whole.
+/// salted) and k (int64).
 struct Data {
   std::vector<int32_t> i32;
   std::vector<int64_t> i64;
@@ -118,7 +117,7 @@ std::unique_ptr<Session> MakeSession(IndexArm arm, int threads) {
     index = IndexOptions::Adaptive();
     index.adaptive.min_zone_size = 40;
   }
-  for (const char* column : {"i32", "i64", "f32"}) {
+  for (const char* column : {"i32", "i64", "f32", "f64"}) {
     ADASKIP_CHECK_OK(session->AttachIndex("t", column, index));
   }
   return session;
@@ -152,10 +151,11 @@ std::vector<bool> NaiveMatches(const Predicate& pred) {
 }
 
 /// Naive zonemap candidates: kZoneRows-row zones, restarting at every
-/// segment boundary, whose [min, max] overlaps the predicate's interval
-/// (unindexed columns: every row).
+/// segment boundary, whose [min, max] over the zone's non-NaN values
+/// overlaps the predicate's interval (unindexed columns: every row).
 std::vector<RowRange> NaiveZoneCandidates(const Predicate& pred) {
-  if (pred.column != "i32" && pred.column != "i64" && pred.column != "f32") {
+  if (pred.column != "i32" && pred.column != "i64" && pred.column != "f32" &&
+      pred.column != "f64") {
     return {{0, kRows}};
   }
   std::vector<RowRange> out;
@@ -165,8 +165,14 @@ std::vector<RowRange> NaiveZoneCandidates(const Predicate& pred) {
     for (int64_t begin = 0; begin < kRows;) {
       const int64_t segment_end = (begin / kSegmentRows + 1) * kSegmentRows;
       const int64_t end = std::min({begin + kZoneRows, segment_end, kRows});
-      T lo = values[static_cast<size_t>(begin)];
-      T hi = lo;
+      // NaN never becomes a bound: std::min/std::max keep their first
+      // argument when the second is NaN.
+      T lo = std::numeric_limits<T>::max();
+      T hi = std::numeric_limits<T>::lowest();
+      if constexpr (std::is_floating_point_v<T>) {
+        lo = std::numeric_limits<T>::infinity();
+        hi = -std::numeric_limits<T>::infinity();
+      }
       for (int64_t i = begin; i < end; ++i) {
         lo = std::min(lo, values[static_cast<size_t>(i)]);
         hi = std::max(hi, values[static_cast<size_t>(i)]);
@@ -392,7 +398,7 @@ TEST(ConjunctionDifferentialAdaptiveTest, AnswersNaiveAndStateThreadInvariant) {
                            std::to_string(threads));
       run.own.push_back(OwnMatches(*got));
     }
-    for (const char* column : {"i32", "i64", "f32"}) {
+    for (const char* column : {"i32", "i64", "f32", "f64"}) {
       Result<IndexSnapshot> snap = session->DescribeIndex("t", column);
       ASSERT_TRUE(snap.ok());
       run.indexes.push_back(*snap);

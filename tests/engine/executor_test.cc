@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "adaskip/scan/scan_kernel.h"
 #include "adaskip/util/rng.h"
@@ -354,6 +356,30 @@ TEST(ScanExecutorTest, FloatColumnsWorkEndToEnd) {
         query.predicates[0].ToInterval<double>();
     EXPECT_EQ(result->count, reference::CountMatches(
                                  v.data(), {0, v.size()}, interval));
+  }
+}
+
+// NaN never becomes a zone bound: a zone whose first value is NaN keeps
+// the bounds of its other values, so the probe does not skip matches.
+TEST(ScanExecutorTest, NanRowsDoNotHideTheirZones) {
+  std::vector<double> values(1024, 0.5);
+  for (size_t i = 0; i < values.size(); i += 64) {
+    values[i] = std::numeric_limits<double>::quiet_NaN();
+  }
+  const Query query = Query::Count(Predicate::Between<double>("x", 0.0, 1.0));
+  for (const IndexOptions& index :
+       {IndexOptions::ZoneMap(64), IndexOptions::Adaptive()}) {
+    auto table = std::make_shared<Table>("t");
+    ASSERT_TRUE(table->AddColumn("x", MakeColumn(values)).ok());
+    IndexManager indexes(table);
+    ASSERT_TRUE(indexes.AttachIndex("x", index).ok());
+    ScanExecutor executor(table, &indexes);
+    // Repeated queries let the adaptive index split zones at NaN rows.
+    for (int i = 0; i < 8; ++i) {
+      Result<QueryResult> result = executor.Execute(query);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result->count, 1008) << result->stats.index_name;
+    }
   }
 }
 

@@ -6,7 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "adaskip/adaptive/adaptive_zone_map.h"
 #include "adaskip/engine/scan_executor.h"
@@ -207,6 +213,54 @@ TEST_P(ParallelEquivalenceTest, MatchesSerialOnConjunctions) {
     ExpectSameResult(*rs, *rp, query.ToString());
   }
   ExpectSameAdaptiveState(serial.adaptive(), parallel.adaptive());
+}
+
+// Float and double SUM depend on the reduction order. Serial and parallel
+// runs fold one partial per morsel in morsel order, so with the same
+// morsel size their sums agree bit for bit at every thread count — over
+// zonemap candidates and over full scans of an unindexed column.
+TEST_P(ParallelEquivalenceTest, FloatingSumsMatchSerialBitForBit) {
+  constexpr int64_t kRows = 30000;
+  std::mt19937_64 rng(71);
+  std::uniform_real_distribution<double> step(-1.0, 1.0);
+  std::vector<double> d(static_cast<size_t>(kRows));
+  std::vector<float> f(static_cast<size_t>(kRows));
+  double walk = 0.0;
+  for (size_t i = 0; i < d.size(); ++i) {
+    walk += step(rng);
+    d[i] = walk + step(rng) / 3.0;  // Sums are not exact in double.
+    f[i] = static_cast<float>(d[i]);
+  }
+  auto table = std::make_shared<Table>("t");
+  ASSERT_TRUE(table->AddColumn("d", MakeColumn(d, 4096)).ok());
+  ASSERT_TRUE(table->AddColumn("f", MakeColumn(f, 4096)).ok());
+  IndexManager indexes(table);  // Static: both executors may share it.
+  ASSERT_TRUE(indexes.AttachIndex("d", IndexOptions::ZoneMap(1000)).ok());
+  ExecOptions serial_exec;
+  serial_exec.morsel_rows = 700;
+  ExecOptions parallel_exec = serial_exec;
+  parallel_exec.num_threads = GetParam();
+  ScanExecutor serial(table, &indexes, serial_exec);
+  ScanExecutor parallel(table, &indexes, parallel_exec);
+
+  const auto [lowest, highest] = std::minmax_element(d.begin(), d.end());
+  std::uniform_real_distribution<double> pick(*lowest, *highest);
+  for (int q = 0; q < 40; ++q) {
+    double lo = pick(rng);
+    double hi = pick(rng);
+    if (lo > hi) std::swap(lo, hi);
+    const Query query =
+        q % 2 == 0 ? Query::Sum(Predicate::Between<double>("d", lo, hi))
+                   : Query::Sum(Predicate::Between<float>(
+                         "f", static_cast<float>(lo), static_cast<float>(hi)));
+    Result<QueryResult> rs = serial.Execute(query);
+    Result<QueryResult> rp = parallel.Execute(query);
+    ASSERT_TRUE(rs.ok() && rp.ok());
+    EXPECT_EQ(rs->count, rp->count) << query.ToString();
+    EXPECT_EQ(std::bit_cast<uint64_t>(rs->sum),
+              std::bit_cast<uint64_t>(rp->sum))
+        << query.ToString() << ": " << rs->sum << " vs " << rp->sum;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelEquivalenceTest,

@@ -231,9 +231,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          IndexKind::kAdaptive,
                                          IndexKind::kAdaptiveImprints),
                        ::testing::Values(1, 4, 64)),
-    [](const ::testing::TestParamInfo<std::tuple<IndexKind, int>>& info) {
-      return std::string(IndexKindToString(std::get<0>(info.param))) +
-             "_width" + std::to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<std::tuple<IndexKind, int>>&
+           case_info) {
+      return std::string(IndexKindToString(std::get<0>(case_info.param))) +
+             "_width" + std::to_string(std::get<1>(case_info.param));
     });
 
 }  // namespace

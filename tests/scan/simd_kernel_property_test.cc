@@ -26,8 +26,7 @@ namespace adaskip {
 namespace {
 
 // Bitwise equality: the contract is "bit for bit", so -0.0 != +0.0 and
-// NaN payloads must match too (NaN never matches a predicate, but
-// ComputeMinMax can propagate one).
+// NaN payloads must match too.
 template <typename T>
 bool BitEq(T a, T b) {
   if constexpr (std::is_integral_v<T>) {

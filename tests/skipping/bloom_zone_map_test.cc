@@ -83,11 +83,18 @@ TEST(BloomZoneMapTest, RangeProbeBehavesLikeZoneMap) {
   }
 }
 
+// GoogleTest names each case by dumping the param's bytes, so the struct
+// carries explicit zeroed padding: implicit padding would put whatever the
+// stack held into the test names.
 struct BloomCase {
+  BloomCase(DataOrder data_order, int64_t zone_rows, int64_t bits)
+      : order(data_order), zone_size(zone_rows), bits_per_row(bits) {}
   DataOrder order;
+  uint8_t padding[7] = {};
   int64_t zone_size;
   int64_t bits_per_row;
 };
+static_assert(sizeof(BloomCase) == 24);
 
 class BloomPropertyTest : public ::testing::TestWithParam<BloomCase> {};
 

@@ -72,10 +72,17 @@ TEST(ZoneTreeTest, SkippedZoneAccountingIsComplete) {
 
 // Equivalence with the flat zonemap across data orders and fanouts: the
 // tree is an access-path optimization, never a semantic change.
+// GoogleTest names each case by dumping the param's bytes, so the struct
+// carries explicit zeroed padding: implicit padding would put whatever the
+// stack held into the test names.
 struct ZoneTreeCase {
+  ZoneTreeCase(DataOrder data_order, int64_t tree_fanout)
+      : order(data_order), fanout(tree_fanout) {}
   DataOrder order;
+  uint8_t padding[7] = {};
   int64_t fanout;
 };
+static_assert(sizeof(ZoneTreeCase) == 16);
 
 class ZoneTreeEquivalenceTest : public ::testing::TestWithParam<ZoneTreeCase> {
 };

@@ -7,6 +7,7 @@
 #include <array>
 #include <cctype>
 #include <set>
+#include <utility>
 
 #include "rules.h"
 
@@ -175,6 +176,9 @@ class ExecStatsSyncRule : public Rule {
 
   /// One tracked accumulator class and everything harvested about it.
   struct ClassSync {
+    ClassSync(std::string class_name, std::string export_function)
+        : name(std::move(class_name)), export_fn(std::move(export_function)) {}
+
     std::string name;
     /// Free function that must export every field as a registry metric
     /// (empty when the class has no exposition contract).
