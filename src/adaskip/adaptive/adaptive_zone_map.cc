@@ -217,12 +217,20 @@ void AdaptiveZoneMapT<T>::OnRangeScanned(const Predicate& pred,
     return;
   }
   // Conservative tail zones are absorbed on their very first scan,
-  // regardless of split policy or waste: the data is cache-hot right
-  // now, and exact bounds are what lets every later probe skip the
-  // zone. (The waste-driven split logic below sees a restructured range
-  // and bails for this query; refinement resumes on the next probe.)
-  {
-    const int64_t index = FindZoneIndex(feedback.scanned.begin);
+  // regardless of split policy or waste: the data was just scanned, and
+  // exact bounds are what lets every later probe skip the zone. (An
+  // absorb into several chunks leaves no zone ending at the range's end,
+  // so the split logic below bails for this query and refinement resumes
+  // on the next probe; a one-chunk absorb may be split right away.)
+  //
+  // The zone is looked up only when it can change: here when a tail zone
+  // exists, otherwise once the range has passed the split gates below.
+  // Most feedback fails a gate, so most ranges skip the binary search.
+  int64_t index = -1;
+  bool looked_up = false;
+  if (conservative_zones_ > 0) {
+    index = FindZoneIndex(feedback.scanned.begin);
+    looked_up = true;
     if (index >= 0 &&
         zones_[static_cast<size_t>(index)].conservative &&
         zones_[static_cast<size_t>(index)].end == feedback.scanned.end) {
@@ -230,7 +238,7 @@ void AdaptiveZoneMapT<T>::OnRangeScanned(const Predicate& pred,
       Stopwatch timer;
       tail_rows_scanned_ += feedback.scanned.size();
       // Absorb the tail at the initial-build granularity while the data
-      // is cache-hot: exact bounds per chunk in one pass. A single
+      // is likely still cached: exact bounds per chunk in one pass. A single
       // tightened mega-zone would leave all refinement to the per-query
       // split cap and stretch ingest recovery over many queries.
       int64_t chunk = options_.initial_zone_size > 0
@@ -246,6 +254,8 @@ void AdaptiveZoneMapT<T>::OnRangeScanned(const Predicate& pred,
         EmitJournal(obs::EventKind::kTailAbsorb, query_seq_,
                     {zone.begin, zone.end, chunk});
       }
+      // The first child takes the parent's slot, so `index` still names
+      // the zone starting at feedback.scanned.begin.
       AbsorbTailZone(index, chunk);
       adapt_nanos_ += timer.ElapsedNanos();
     }
@@ -266,7 +276,7 @@ void AdaptiveZoneMapT<T>::OnRangeScanned(const Predicate& pred,
   if (wasted < options_.split_waste_threshold) return;
 
   Stopwatch timer;
-  int64_t index = FindZoneIndex(feedback.scanned.begin);
+  if (!looked_up) index = FindZoneIndex(feedback.scanned.begin);
   if (index < 0 ||
       zones_[static_cast<size_t>(index)].end != feedback.scanned.end) {
     // The zone was already restructured this query (should not happen —
@@ -355,8 +365,11 @@ void AdaptiveZoneMapT<T>::ReplaceZone(int64_t index,
     }
     EmitJournal(obs::EventKind::kZoneSplit, query_seq_, std::move(args));
   }
-  zones_.erase(zones_.begin() + index);
-  zones_.insert(zones_.begin() + index, children.begin(), children.end());
+  // The first child overwrites the parent and only the rest are
+  // inserted, so the zones behind it move once.
+  zones_[static_cast<size_t>(index)] = children.front();
+  zones_.insert(zones_.begin() + index + 1, children.begin() + 1,
+                children.end());
   split_count_ += static_cast<int64_t>(children.size()) - 1;
   ADASKIP_METRIC_COUNTER(splits, "adaskip.zonemap.zone_splits",
                          "Zones added by waste-driven refinement");
@@ -373,8 +386,9 @@ void AdaptiveZoneMapT<T>::AbsorbTailZone(int64_t index, int64_t chunk) {
     children.push_back(AdaptiveZone{begin, end, mm.min, mm.max,
                                     zone.last_candidate_seq});
   }
-  zones_.erase(zones_.begin() + index);
-  zones_.insert(zones_.begin() + index, children.begin(), children.end());
+  zones_[static_cast<size_t>(index)] = children.front();
+  zones_.insert(zones_.begin() + index + 1, children.begin() + 1,
+                children.end());
   --conservative_zones_;
   ++absorb_count_;
   ADASKIP_METRIC_COUNTER(absorbs, "adaskip.zonemap.tail_absorbs",

@@ -25,7 +25,9 @@ namespace adaskip {
 ///    not coalesced, so per-zone scan feedback stays exact).
 ///  * `OnRangeScanned` splits zones whose scans were mostly wasted,
 ///    per the configured SplitPolicy; children get exact min/max bounds
-///    computed while the zone is cache-hot. The time spent is accumulated
+///    computed right after the query's scan, while the zone is likely
+///    still cached. The zone is looked up only when a tail zone exists
+///    or the range passes the split gates. The time spent is accumulated
 ///    and drained by the executor via `TakeAdaptationNanos()` so
 ///    experiments charge adaptation honestly.
 ///  * `OnQueryComplete` feeds the effectiveness tracker, lets the cost
@@ -35,8 +37,8 @@ namespace adaskip {
 ///    (bounds = the type's full range, one zone per segment piece), so
 ///    the superset contract holds the instant data arrives, at zero build
 ///    cost. The first query that scans such a zone absorbs it — exact
-///    bounds at the initial-build granularity, computed while the data
-///    is cache-hot — and normal split refinement takes over from there.
+///    bounds at the initial-build granularity, computed from the rows it
+///    just scanned — and normal split refinement takes over from there.
 ///
 /// Zones never cross a segment boundary of the underlying column (initial
 /// build, splits, merges, and tail zones all respect it), so every zone is

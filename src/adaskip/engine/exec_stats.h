@@ -31,16 +31,18 @@ struct QueryStats {
   int64_t tail_rows_scanned = 0;
 
   int64_t probe_nanos = 0;  // Metadata reads.
-  int64_t scan_nanos = 0;   // Pure kernel time over candidates. With a
-                            // parallel scan this sums every worker's
-                            // kernel time (CPU time, not wall clock).
+  int64_t scan_nanos = 0;   // Kernel time over candidates. On one thread
+                            // the wall time of the whole candidate walk,
+                            // per-morsel folds included; with a parallel
+                            // scan the sum of every worker's kernel time
+                            // (CPU time, not wall clock).
   int64_t adapt_nanos = 0;  // Refinement/merge work inside the index.
   int64_t total_nanos = 0;  // Wall clock for the whole query.
 
   // Morsel-driven parallel execution (0 when the query ran serially).
   int parallel_workers = 0;  // Workers that scanned this query's morsels.
-  int64_t merge_nanos = 0;   // Coordinator time merging per-morsel partials
-                             // and replaying buffered index feedback.
+  int64_t merge_nanos = 0;   // Coordinator time folding per-morsel partials
+                             // after the barrier.
 
   // Number of queries that shared the scan pass this query was answered
   // from (ScanExecutor::ExecuteShared); 0 when the query ran standalone.

@@ -74,34 +74,124 @@ bool CandidatesAreWellFormed(const std::vector<RowRange>& ranges, int64_t n) {
 /// `range_index` reconstructs exact per-range (zone-exact) feedback.
 struct Morsel {
   RowRange rows;
-  int64_t range_index;
+  size_t range_index;
 };
 
-/// Splits the candidate ranges into morsels of at most `morsel_rows`
-/// rows, in ascending row order, additionally splitting at multiples of
-/// `segment_rows` so every morsel sits inside one storage segment (and
-/// can be scanned through a single contiguous span). Because segment
-/// sizes are powers of two, multiples of the *smallest* segment size
-/// among several columns are boundaries for all of them — and the next
-/// boundary is a mask away, not a division.
-std::vector<Morsel> BuildMorsels(const std::vector<RowRange>& ranges,
-                                 int64_t morsel_rows, int64_t segment_rows) {
+/// Calls `fn(morsel)` for the morsels of one candidate range, in row
+/// order: slices of at most `morsel_rows` rows, additionally split at
+/// multiples of `segment_rows` so every morsel sits inside one storage
+/// segment (and can be scanned through a single contiguous span). Because
+/// segment sizes are powers of two, multiples of the *smallest* segment
+/// size among several columns are boundaries for all of them — and the
+/// next boundary is a mask away, not a division.
+template <typename Fn>
+void ForEachMorselOf(RowRange range, int64_t morsel_rows,
+                     int64_t segment_rows, Fn&& fn) {
   ADASKIP_DCHECK(std::has_single_bit(static_cast<uint64_t>(segment_rows)));
   morsel_rows = std::max<int64_t>(morsel_rows, 1);
-  std::vector<Morsel> morsels;
-  morsels.reserve(ranges.size());
-  for (size_t r = 0; r < ranges.size(); ++r) {
-    const RowRange& range = ranges[r];
-    int64_t begin = range.begin;
-    while (begin < range.end) {
-      const int64_t boundary = (begin | (segment_rows - 1)) + 1;
-      const int64_t end =
-          std::min({begin + morsel_rows, boundary, range.end});
-      morsels.push_back({{begin, end}, static_cast<int64_t>(r)});
-      begin = end;
+  for (int64_t begin = range.begin; begin < range.end;) {
+    const int64_t boundary = (begin | (segment_rows - 1)) + 1;
+    const int64_t end = std::min({begin + morsel_rows, boundary, range.end});
+    fn(RowRange{begin, end});
+    begin = end;
+  }
+}
+
+/// How one scan cuts its candidate ranges into morsels (ForEachMorselOf).
+/// The morsel list exists only when a pool scans: one thread walks the
+/// ranges in place, through a single reused scan slot.
+struct MorselPlan {
+  MorselPlan(const std::vector<RowRange>& candidate_ranges, int64_t rows,
+             int64_t morsel_rows_in, int64_t segment_rows_in,
+             ThreadPool* workers)
+      : ranges(candidate_ranges),
+        morsel_rows(morsel_rows_in),
+        segment_rows(segment_rows_in),
+        max_morsel_rows(std::min({morsel_rows_in, segment_rows_in, rows})),
+        pool(workers) {
+    if (pool == nullptr) return;
+    morsels.reserve(ranges.size());
+    for (size_t r = 0; r < ranges.size(); ++r) {
+      ForEachMorselOf(ranges[r], morsel_rows, segment_rows,
+                      [&](RowRange piece) { morsels.push_back({piece, r}); });
     }
   }
-  return morsels;
+
+  /// Scan slots the bodies keep per-morsel state in: one per morsel with
+  /// a pool, a single reused one without.
+  size_t slots() const { return pool == nullptr ? 1 : morsels.size(); }
+
+  /// The most rows a morsel scanned into `slot` can have.
+  int64_t SlotRows(size_t slot) const {
+    return pool == nullptr ? max_morsel_rows : morsels[slot].rows.size();
+  }
+
+  const std::vector<RowRange>& ranges;
+  int64_t morsel_rows;
+  int64_t segment_rows;
+  int64_t max_morsel_rows;
+  ThreadPool* pool;
+  std::vector<Morsel> morsels;
+};
+
+/// Morsel count and time of one RunMorsels call.
+struct MorselTimes {
+  int64_t morsels = 0;
+  // With a pool: summed scan time (CPU, not wall clock). Without one: the
+  // whole walk, folds included, under one timer.
+  int64_t scan_nanos = 0;
+  int64_t fold_nanos = 0;  // Post-barrier fold time; 0 without a pool.
+};
+
+/// Runs `scan(slot, morsel)` for every morsel of the plan and
+/// `fold(slot, morsel, range_index)` over them in row order. Without a
+/// pool the candidate ranges are walked in place: each morsel is scanned
+/// into slot 0 and folded right behind its scan, its data still in cache.
+/// With one, the workers scan morsel m into slot m and the calling thread
+/// folds them after the barrier. Either way the folds see the same
+/// morsels in the same order, so whatever they accumulate does not depend
+/// on the thread count. Scans only read shared state and write their own
+/// slot; everything else belongs to the fold.
+template <typename Scan, typename Fold>
+MorselTimes RunMorsels(const MorselPlan& plan, Scan&& scan, Fold&& fold) {
+  MorselTimes times;
+  if (plan.pool == nullptr) {
+    Stopwatch walk_timer;
+    for (size_t r = 0; r < plan.ranges.size(); ++r) {
+      ForEachMorselOf(plan.ranges[r], plan.morsel_rows, plan.segment_rows,
+                      [&](RowRange rows) {
+                        scan(size_t{0}, rows);
+                        fold(size_t{0}, rows, r);
+                        ++times.morsels;
+                      });
+    }
+    times.scan_nanos = walk_timer.ElapsedNanos();
+    return times;
+  }
+  // Pool job metrics live here rather than in util/thread_pool.cc because
+  // util/ sits below obs/ in the layering DAG.
+  ADASKIP_METRIC_COUNTER(jobs, "adaskip.pool.jobs",
+                         "Parallel jobs submitted to thread pools");
+  ADASKIP_METRIC_HISTOGRAM(tasks, "adaskip.pool.tasks_per_job",
+                           "Task count per submitted parallel job");
+  const std::vector<Morsel>& morsels = plan.morsels;
+  times.morsels = static_cast<int64_t>(morsels.size());
+  jobs.Increment();
+  tasks.Observe(times.morsels);
+  std::vector<int64_t> worker_nanos(
+      static_cast<size_t>(plan.pool->num_workers()), 0);
+  plan.pool->ParallelFor(times.morsels, [&](int64_t m, int worker) {
+    Stopwatch scan_timer;
+    scan(static_cast<size_t>(m), morsels[static_cast<size_t>(m)].rows);
+    worker_nanos[static_cast<size_t>(worker)] += scan_timer.ElapsedNanos();
+  });
+  for (int64_t nanos : worker_nanos) times.scan_nanos += nanos;
+  Stopwatch fold_timer;
+  for (size_t m = 0; m < morsels.size(); ++m) {
+    fold(m, morsels[m].rows, morsels[m].range_index);
+  }
+  times.fold_nanos = fold_timer.ElapsedNanos();
+  return times;
 }
 
 /// Builds the "probe" trace span from the already-filled probe stats.
@@ -231,57 +321,6 @@ std::optional<obs::TraceSpan> FinishTerm(Term* term,
   return span;
 }
 
-/// Kernel and fold time of one RunMorsels call.
-struct MorselTimes {
-  int64_t scan_nanos = 0;  // Summed scan(m) time (CPU, not wall clock).
-  int64_t fold_nanos = 0;  // Post-barrier fold time; 0 without a pool.
-};
-
-/// Runs `scan(m)` for every morsel and `fold(m)` over them in morsel
-/// order. Without a pool each morsel is folded right behind its scan, its
-/// data still in cache; with one, the workers scan every morsel and the
-/// calling thread folds them after the barrier. Either way the folds see
-/// the same morsels in the same order, so whatever they accumulate — and
-/// the feedback they deliver — does not depend on the thread count. Scans
-/// only read shared state and write their own morsel's slot; everything
-/// else, index mutation included, belongs to the fold.
-template <typename Scan, typename Fold>
-MorselTimes RunMorsels(ThreadPool* pool, size_t num_morsels, Scan&& scan,
-                       Fold&& fold) {
-  MorselTimes times;
-  if (pool == nullptr) {
-    for (size_t m = 0; m < num_morsels; ++m) {
-      Stopwatch scan_timer;
-      scan(m);
-      times.scan_nanos += scan_timer.ElapsedNanos();
-      fold(m);
-    }
-    return times;
-  }
-  // Pool job metrics live here rather than in util/thread_pool.cc because
-  // util/ sits below obs/ in the layering DAG.
-  ADASKIP_METRIC_COUNTER(jobs, "adaskip.pool.jobs",
-                         "Parallel jobs submitted to thread pools");
-  ADASKIP_METRIC_HISTOGRAM(tasks, "adaskip.pool.tasks_per_job",
-                           "Task count per submitted parallel job");
-  jobs.Increment();
-  tasks.Observe(static_cast<int64_t>(num_morsels));
-  std::vector<int64_t> worker_nanos(static_cast<size_t>(pool->num_workers()),
-                                    0);
-  pool->ParallelFor(static_cast<int64_t>(num_morsels),
-                    [&](int64_t m, int worker) {
-                      Stopwatch scan_timer;
-                      scan(static_cast<size_t>(m));
-                      worker_nanos[static_cast<size_t>(worker)] +=
-                          scan_timer.ElapsedNanos();
-                    });
-  for (int64_t nanos : worker_nanos) times.scan_nanos += nanos;
-  Stopwatch fold_timer;
-  for (size_t m = 0; m < num_morsels; ++m) fold(m);
-  times.fold_nanos = fold_timer.ElapsedNanos();
-  return times;
-}
-
 /// What ScanPiece accumulates over the pieces it is handed: the match
 /// count, sum (kSum), min/max of the matches (kMin/kMax; untouched while
 /// nothing matched), materialized row ids (kMaterialize), and the rows a
@@ -295,6 +334,21 @@ struct ScanPartial {
   SelectionVector rows;
   int64_t packed_rows = 0;
 };
+
+/// Adds the morsel partial `part` to the running partial `total`, in the
+/// order one thread would have scanned it, moving its rows out.
+template <typename T>
+void FoldPartial(ScanPartial<T>* part, ScanPartial<T>* total) {
+  total->matches += part->matches;
+  total->sum += part->sum;
+  if (part->matches > 0) {
+    total->min = std::min(total->min, part->min);
+    total->max = std::max(total->max, part->max);
+  }
+  for (int64_t row : part->rows.rows()) total->rows.Append(row);
+  part->rows = SelectionVector();
+  total->packed_rows += part->packed_rows;
+}
 
 /// Scans one segment-contained piece of `column` with the kernel
 /// matching `aggregate` and adds its answer to `out`. Integer segments
@@ -617,8 +671,6 @@ SharedBatchResult ScanExecutor::ExecuteShared(
     int64_t packed_rows = 0;
     int64_t nanos = 0;
   };
-  std::vector<Morsel> morsels;
-  std::vector<std::vector<Hit>> morsel_hits;
   if (shared_count > 0) {
     std::vector<RowRange> union_ranges;
     for (size_t i = 0; i < n; ++i) {
@@ -627,13 +679,12 @@ SharedBatchResult ScanExecutor::ExecuteShared(
       }
     }
     out.pass.unique_rows = TotalRows(union_ranges);
-    morsels =
-        BuildMorsels(union_ranges, options_.morsel_rows, min_segment_rows);
-    out.pass.morsels = static_cast<int64_t>(morsels.size());
-    morsel_hits.resize(morsels.size());
+    const MorselPlan plan(union_ranges, out.pass.unique_rows,
+                          options_.morsel_rows, min_segment_rows,
+                          MorselPool(out.pass.unique_rows));
+    std::vector<std::vector<Hit>> morsel_hits(plan.slots());
 
-    auto scan_morsel = [&](size_t m) {
-      const RowRange window = morsels[m].rows;
+    auto scan_morsel = [&](size_t m, RowRange window) {
       std::vector<Hit>& hits = morsel_hits[m];
       for (size_t i = 0; i < n; ++i) {
         const Slot& slot = slots[i];
@@ -665,18 +716,19 @@ SharedBatchResult ScanExecutor::ExecuteShared(
     // order, so every query's match positions come out sorted — the
     // property the per-range feedback reconstruction below binary-searches
     // on.
-    RunMorsels(MorselPool(out.pass.unique_rows), morsels.size(), scan_morsel,
-               [&](size_t m) {
-                 for (Hit& hit : morsel_hits[m]) {
-                   Slot& slot = slots[hit.slot];
-                   for (int64_t row : hit.sel.rows()) slot.matches.Append(row);
-                   slot.kernel_rows += hit.rows;
-                   slot.packed_rows += hit.packed_rows;
-                   slot.kernel_nanos += hit.nanos;
-                   out.pass.kernel_rows += hit.rows;
-                   out.pass.scan_nanos += hit.nanos;
-                 }
-               });
+    out.pass.morsels =
+        RunMorsels(plan, scan_morsel, [&](size_t m, RowRange, size_t) {
+          for (Hit& hit : morsel_hits[m]) {
+            Slot& slot = slots[hit.slot];
+            for (int64_t row : hit.sel.rows()) slot.matches.Append(row);
+            slot.kernel_rows += hit.rows;
+            slot.packed_rows += hit.packed_rows;
+            slot.kernel_nanos += hit.nanos;
+            out.pass.kernel_rows += hit.rows;
+            out.pass.scan_nanos += hit.nanos;
+          }
+          morsel_hits[m].clear();
+        }).morsels;
   }
 
   // --- Replay, in submission order. ---
@@ -917,83 +969,50 @@ Result<QueryResult> ScanExecutor::ExecuteConjunction(
   // column's segment size, which (power-of-two sizes) is a segment
   // boundary for every term column — so each morsel maps to one
   // contiguous span, or one packed segment, per column.
-  const std::vector<Morsel> morsels =
-      BuildMorsels(candidates, options_.morsel_rows, min_segment_rows);
   ThreadPool* workers = MorselPool(stats.rows_scanned);
   if (workers != nullptr) stats.parallel_workers = workers->num_workers();
+  const MorselPlan plan(candidates, stats.rows_scanned, options_.morsel_rows,
+                        min_segment_rows, workers);
 
-  // Range feedback: each term's own matches add up over a candidate
-  // range's morsels, and folding the range's last morsel hands them to
-  // the term's index — the per-range stream an adaptive index learns
-  // from, delivered in range order whatever the thread count.
+  // Range feedback, gathered while folding: per candidate range, the
+  // rows kept by the whole conjunction, then each term's own matches.
+  const size_t stride = num_terms + 1;
+  std::vector<int64_t> range_matches(candidates.size() * stride, 0);
   int64_t matched = 0;
-  int64_t range_matched = 0;
-  std::vector<int64_t> range_own(num_terms, 0);
-  const bool detail = trace != nullptr && trace->detail();
-  obs::TraceSpan scan_span("scan");
-  auto fold_feedback = [&](size_t m, const int64_t* own, int64_t kept) {
-    matched += kept;
-    range_matched += kept;
-    for (size_t p = 0; p < num_terms; ++p) range_own[p] += own[p];
-    const int64_t r = morsels[m].range_index;
-    if (m + 1 < morsels.size() && morsels[m + 1].range_index == r) return;
-    const RowRange range = candidates[static_cast<size_t>(r)];
-    for (size_t p = 0; p < num_terms; ++p) {
-      Term& term = terms[p];
-      term.own_matches += range_own[p];
-      if (term.index != nullptr) {
-        term.index->OnRangeScanned(*term.pred,
-                                   RangeFeedback{range, range_own[p]});
-      }
-      range_own[p] = 0;
-    }
-    if (detail && static_cast<int64_t>(scan_span.children.size()) <
-                      obs::QueryTrace::kMaxDetailChildren) {
-      obs::TraceSpan child("range");
-      child.Set("begin", range.begin)
-          .Set("end", range.end)
-          .Set("matches", range_matched);
-      scan_span.AddChild(std::move(child));
-    }
-    range_matched = 0;
-  };
 
   MorselTimes times;
   if (fused) {
-    // The fused per-aggregate kernels, one partial per morsel. SUM's
-    // reduction tree is fixed by the morsel layout, so it is the same
-    // double at every thread count.
+    // The fused per-aggregate kernels, accumulating into one running
+    // partial; with a pool each morsel gets its own partial, folded in
+    // morsel order. SUM adds the same per-morsel kernel sums in the same
+    // order either way, so it is the same double at every thread count.
     DispatchDataType(terms[0].column->type(), [&](auto tag) {
       using T = typename decltype(tag)::type;
       const TypedColumn<T>& column = *terms[0].column->As<T>();
       const ValueInterval<T> interval = query.predicates[0].ToInterval<T>();
-      std::vector<ScanPartial<T>> partials(morsels.size());
-      double sum = 0.0;
-      T min_v = std::numeric_limits<T>::max();
-      T max_v = std::numeric_limits<T>::lowest();
+      ScanPartial<T> total;
+      std::vector<ScanPartial<T>> partials(workers != nullptr ? plan.slots()
+                                                              : 0);
       times = RunMorsels(
-          workers, morsels.size(),
-          [&](size_t m) {
-            ScanPiece(column, morsels[m].rows, query.aggregate, interval,
-                      &partials[m]);
+          plan,
+          [&](size_t m, RowRange rows) {
+            ScanPiece(column, rows, query.aggregate, interval,
+                      workers != nullptr ? &partials[m] : &total);
           },
-          [&](size_t m) {
-            ScanPartial<T>& part = partials[m];
-            sum += part.sum;
-            if (part.matches > 0) {
-              min_v = std::min(min_v, part.min);
-              max_v = std::max(max_v, part.max);
-            }
-            for (int64_t row : part.rows.rows()) result.rows.Append(row);
-            part.rows = SelectionVector();
-            stats.rows_scanned_packed += part.packed_rows;
-            fold_feedback(m, &part.matches, part.matches);
+          [&](size_t m, RowRange, size_t r) {
+            if (workers != nullptr) FoldPartial(&partials[m], &total);
+            const int64_t kept = total.matches - matched;
+            matched = total.matches;
+            range_matches[r * stride] += kept;
+            range_matches[r * stride + 1] += kept;
           });
-      result.sum = sum;
+      result.sum = total.sum;
       if (matched > 0) {
-        result.min = static_cast<double>(min_v);
-        result.max = static_cast<double>(max_v);
+        result.min = static_cast<double>(total.min);
+        result.max = static_cast<double>(total.max);
       }
+      result.rows = std::move(total.rows);
+      stats.rows_scanned_packed = total.packed_rows;
     });
   } else {
     // Match words: each term ANDs its bits into the morsel's words in one
@@ -1001,20 +1020,21 @@ Result<QueryResult> ScanExecutor::ExecuteConjunction(
     // no row ids exist until an aggregate asks for them. The popcount of
     // a term's own bits feeds its index; the popcount of the ANDed words
     // is the morsel's COUNT.
-    std::vector<int64_t> first_word(morsels.size() + 1, 0);
-    for (size_t m = 0; m < morsels.size(); ++m) {
-      first_word[m + 1] = first_word[m] + MatchWordsFor(morsels[m].rows.size());
+    const size_t slots = plan.slots();
+    std::vector<int64_t> first_word(slots + 1, 0);
+    for (size_t m = 0; m < slots; ++m) {
+      first_word[m + 1] = first_word[m] + MatchWordsFor(plan.SlotRows(m));
     }
     const std::unique_ptr<uint64_t[]> match_words =
         std::make_unique_for_overwrite<uint64_t[]>(
             static_cast<size_t>(first_word.back()));
-    std::vector<int64_t> own_matches(morsels.size() * num_terms, 0);
-    std::vector<int64_t> morsel_matches(morsels.size(), 0);
-    std::vector<int64_t> packed_rows(morsels.size(), 0);
-    auto scan_morsel = [&](size_t m) {
-      const RowRange rows = morsels[m].rows;
+    std::vector<int64_t> own_matches(slots * num_terms, 0);
+    std::vector<int64_t> morsel_matches(slots, 0);
+    std::vector<int64_t> packed_rows(slots, 0);
+    auto scan_morsel = [&](size_t m, RowRange rows) {
       uint64_t* words = &match_words[static_cast<size_t>(first_word[m])];
       std::fill_n(words, MatchWordsFor(rows.size()), ~uint64_t{0});
+      packed_rows[m] = 0;
       for (size_t p = 0; p < num_terms; ++p) {
         const Column* column = terms[p].column;
         DispatchDataType(column->type(), [&](auto tag) {
@@ -1029,25 +1049,30 @@ Result<QueryResult> ScanExecutor::ExecuteConjunction(
         });
       }
     };
-    auto fold_morsel = [&](size_t m) {
+    auto fold_morsel = [&](size_t m, RowRange, size_t r) {
       stats.rows_scanned_packed += packed_rows[m];
-      fold_feedback(m, &own_matches[m * num_terms], morsel_matches[m]);
+      matched += morsel_matches[m];
+      int64_t* counts = &range_matches[r * stride];
+      counts[0] += morsel_matches[m];
+      for (size_t p = 0; p < num_terms; ++p) {
+        counts[p + 1] += own_matches[m * num_terms + p];
+      }
     };
     // Folds that first visit the morsel's surviving rows in row order.
     auto fold_rows = [&](auto&& each_row) {
-      return [&, each_row](size_t m) {
-        ForEachSetRow(&match_words[static_cast<size_t>(first_word[m])],
-                      morsels[m].rows, each_row);
-        fold_morsel(m);
+      return [&, each_row](size_t m, RowRange rows, size_t r) {
+        ForEachSetRow(&match_words[static_cast<size_t>(first_word[m])], rows,
+                      each_row);
+        fold_morsel(m, rows, r);
       };
     };
     switch (query.aggregate) {
       case AggregateKind::kCount:
-        times = RunMorsels(workers, morsels.size(), scan_morsel, fold_morsel);
+        times = RunMorsels(plan, scan_morsel, fold_morsel);
         break;
       case AggregateKind::kMaterialize:
         times = RunMorsels(
-            workers, morsels.size(), scan_morsel,
+            plan, scan_morsel,
             fold_rows([&](int64_t row) { result.rows.Append(row); }));
         break;
       case AggregateKind::kSum:
@@ -1061,13 +1086,12 @@ Result<QueryResult> ScanExecutor::ExecuteConjunction(
           double sum = 0.0;
           T min_v = std::numeric_limits<T>::max();
           T max_v = std::numeric_limits<T>::lowest();
-          times = RunMorsels(workers, morsels.size(), scan_morsel,
-                             fold_rows([&](int64_t row) {
-                               const T v = typed.Get(row);
-                               sum += static_cast<double>(v);
-                               min_v = std::min(min_v, v);
-                               max_v = std::max(max_v, v);
-                             }));
+          times = RunMorsels(plan, scan_morsel, fold_rows([&](int64_t row) {
+            const T v = typed.Get(row);
+            sum += static_cast<double>(v);
+            min_v = std::min(min_v, v);
+            max_v = std::max(max_v, v);
+          }));
           result.sum = sum;
           if (matched > 0) {
             result.min = static_cast<double>(min_v);
@@ -1078,11 +1102,39 @@ Result<QueryResult> ScanExecutor::ExecuteConjunction(
       }
     }
   }
+
   stats.scan_nanos = times.scan_nanos;
   stats.merge_nanos = times.fold_nanos;
   stats.rows_matched = matched;
   result.count = matched;
 
+  // --- Range feedback, in range order, once the scan has finished. ---
+  //
+  // Each term's index gets its own matches per candidate range — the
+  // per-range stream an adaptive index learns from — in the same order at
+  // every thread count, after every morsel has been scanned and folded.
+  const bool detail = trace != nullptr && trace->detail();
+  obs::TraceSpan scan_span("scan");
+  for (size_t r = 0; r < candidates.size(); ++r) {
+    const RowRange range = candidates[r];
+    const int64_t* counts = &range_matches[r * stride];
+    for (size_t p = 0; p < num_terms; ++p) {
+      Term& term = terms[p];
+      term.own_matches += counts[p + 1];
+      if (term.index != nullptr) {
+        term.index->OnRangeScanned(*term.pred,
+                                   RangeFeedback{range, counts[p + 1]});
+      }
+    }
+    if (detail && static_cast<int64_t>(scan_span.children.size()) <
+                      obs::QueryTrace::kMaxDetailChildren) {
+      obs::TraceSpan child("range");
+      child.Set("begin", range.begin)
+          .Set("end", range.end)
+          .Set("matches", counts[0]);
+      scan_span.AddChild(std::move(child));
+    }
+  }
   if (trace != nullptr) {
     obs::TraceSpan probe_span = MakeProbeSpan(stats);
     for (size_t p = 0; p < num_terms && !fused; ++p) {
@@ -1103,7 +1155,7 @@ Result<QueryResult> ScanExecutor::ExecuteConjunction(
         .Set("rows_scanned_packed", stats.rows_scanned_packed)
         .Set("rows_matched", stats.rows_matched)
         .Set("kernel_path", simd::ActiveKernelPathName())
-        .Set("morsels", static_cast<int64_t>(morsels.size()))
+        .Set("morsels", times.morsels)
         .Set("parallel_workers", stats.parallel_workers)
         .Set("merge_nanos", stats.merge_nanos);
     const int64_t elided = stats.candidate_ranges -

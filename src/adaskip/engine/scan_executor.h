@@ -142,14 +142,19 @@ struct SharedBatchResult {
 /// Both drive adaptation: each term's index receives per-range feedback
 /// counting that column's own matches, plus a query-complete summary.
 ///
-/// With ExecOptions::num_threads > 1 and more than one morsel's worth of
-/// candidate rows, a resident ThreadPool scans the morsels. Workers only
-/// read; the coordinator folds the morsels after the barrier and delivers
-/// each candidate range's feedback as its last morsel is folded — the
-/// same sequence as on one thread, where every morsel is folded right
-/// after its scan — so adaptive structures never see concurrent mutation
+/// On one thread the candidate ranges are walked in place: each morsel is
+/// scanned into one running partial (or one reused match-word buffer) and
+/// folded right behind its scan, and stats.scan_nanos is the wall time of
+/// that whole walk. With ExecOptions::num_threads > 1 and more than one
+/// morsel's worth of candidate rows, a resident ThreadPool scans a morsel
+/// list into per-morsel partials and the coordinator folds them after the
+/// barrier. The folds add each term's own matches per candidate range
+/// into one per-query array; once the scan has finished, the coordinator
+/// delivers that feedback in range order — the same sequence at every
+/// thread count — so adaptive structures never see concurrent mutation
 /// and adapt identically at every thread count. Results are identical at
-/// every thread count too: for float columns the SUM reduction order is
+/// every thread count too: both schedules cut the kernels at the same
+/// morsel boundaries, so for float columns the SUM reduction order is
 /// fixed by the morsel layout, which does not depend on the thread count.
 ///
 /// Columns are stored in fixed-capacity segments, so morsels are also
@@ -213,8 +218,8 @@ class ScanExecutor {
   /// The one pipeline behind every standalone query — Execute, and the
   /// solo lane of ExecuteShared — at the given trace level. Probes each
   /// term, splits the candidate rows into morsels, scans them (on the pool
-  /// when the scan is big enough) and folds them in morsel order, handing
-  /// each index per-range feedback as its ranges complete. A query
+  /// when the scan is big enough) and folds them in morsel order, then
+  /// hands each index its per-range feedback in range order. A query
   /// reading only its predicate's column runs the fused per-aggregate
   /// kernels; any other query ANDs per-term 64-bit match words.
   Result<QueryResult> ExecuteConjunction(const Query& query,

@@ -212,7 +212,9 @@ Status ReadScalar(Source& source, T* out) {
     return Status::OK();
   } else {
     using U = std::make_unsigned_t<T>;
-    uint8_t bytes[sizeof(U)];
+    // Zeroed although ReadBytes fills it or fails: GCC's -O3 flow
+    // analysis does not see that a failed read returns first.
+    uint8_t bytes[sizeof(U)] = {};
     ADASKIP_RETURN_IF_ERROR(source.ReadBytes(bytes, sizeof(U)));
     U bits = 0;
     for (size_t i = 0; i < sizeof(U); ++i) {

@@ -90,8 +90,13 @@ struct AdaptationProfile {
 ///    feedback stays zone-exact). The union of the candidates must be a
 ///    superset of the qualifying rows — a skip index may over-approximate,
 ///    never under-approximate.
-///  * The executor scans the candidates and calls `OnRangeScanned` once
-///    per scanned range and `OnQueryComplete` once per query. Static
+///  * The executor scans the candidates and then calls `OnRangeScanned`
+///    once per scanned range, in range order, and `OnQueryComplete` once
+///    per query. All of a query's range feedback arrives after its scan
+///    has finished, at every thread count, on the coordinator thread, so
+///    an index may restructure itself in `OnRangeScanned` (each range
+///    still names the zone or block it was probed from, although an
+///    earlier range's split may have shifted its position). Static
 ///    structures ignore the feedback; adaptive structures refine
 ///    themselves in these hooks (and account for the time they spend —
 ///    see ExecStats::adapt_nanos).

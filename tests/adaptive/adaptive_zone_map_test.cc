@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "adaskip/adaptive/journal_replay.h"
+#include "adaskip/obs/event_journal.h"
 #include "adaskip/util/rng.h"
 #include "adaskip/workload/data_generator.h"
 #include "adaskip/workload/query_generator.h"
@@ -358,6 +360,80 @@ TEST(AdaptiveZoneMapTest, SparseMatchesSpanningZoneStillRefine) {
   EXPECT_LT(last, first / 2)
       << "refinement stalled: " << first << " -> " << last;
   EXPECT_TRUE(index.CheckInvariants());
+}
+
+// Feedback arrives per range after the whole query's scan, and the zone
+// a range names is looked up only when it can change. Each split of an
+// earlier range shifts the indices of every later zone, so later ranges
+// must still split — or absorb, for the conservative tail — the zone they
+// were probed from. Every zone here is a candidate and almost all of its
+// rows are wasted, so each range splits in half; the 300-row tail is
+// absorbed into one exact zone and, in the same call, split as well.
+TEST(AdaptiveZoneMapTest, LaterRangesFindZonesShiftedByEarlierSplits) {
+  DataGenOptions gen{.order = DataOrder::kUniform,
+                     .num_rows = 4096,
+                     .seed = 5,
+                     .value_range = 100000};
+  TypedColumn<int64_t> column(GenerateData<int64_t>(gen));
+  AdaptiveOptions options = TestOptions();
+  options.initial_zone_size = 512;
+  options.policy = SplitPolicy::kHalve;
+  options.max_splits_per_query = 1000;
+  obs::EventJournalOptions journal_options;
+  journal_options.capacity = 1 << 12;
+  obs::EventJournal journal(std::move(journal_options));
+  AdaptiveZoneMapT<int64_t> live(column, options);
+  AdaptiveZoneMapT<int64_t> replayed(column, options);
+  live.BindJournal(&journal, "t.x");
+
+  gen.num_rows = 300;
+  gen.seed = 6;
+  live.OnAppend(
+      column.Append(std::span<const int64_t>(GenerateData<int64_t>(gen))));
+  ASSERT_EQ(live.ZoneCount(), 9);
+
+  const Predicate pred = Predicate::Between<int64_t>("x", 50000, 50100);
+  RunQueryProtocol(&live, pred, column.data());
+  std::vector<RowRange> expected;
+  for (int64_t begin = 0; begin < 4096 + 300; begin += 512) {
+    const int64_t end = std::min<int64_t>(begin + 512, 4096 + 300);
+    const int64_t cut = begin + (end - begin) / 2;
+    expected.push_back({begin, cut});
+    expected.push_back({cut, end});
+  }
+  auto layout = [](const AdaptiveZoneMapT<int64_t>& index) {
+    std::vector<RowRange> out;
+    for (const auto& zone : index.zones()) {
+      out.push_back({zone.begin, zone.end});
+    }
+    return out;
+  };
+  EXPECT_EQ(layout(live), expected);
+  EXPECT_EQ(live.absorb_count(), 1);
+  EXPECT_EQ(live.split_count(), 9);
+  EXPECT_TRUE(live.CheckInvariants());
+
+  // No tail zone is left, so the next query takes only the deferred
+  // lookup: its 18 ranges split again, each at its shifted index.
+  RunQueryProtocol(&live, pred, column.data());
+  EXPECT_EQ(live.ZoneCount(), 36);
+  EXPECT_EQ(live.split_count(), 27);
+  EXPECT_TRUE(live.CheckInvariants());
+
+  ASSERT_EQ(journal.spilled(), 0);
+  const Status status = ReplayJournal(journal.Snapshot(), "t.x", &replayed);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(layout(replayed), layout(live));
+  for (size_t i = 0; i < live.zones().size(); ++i) {
+    EXPECT_EQ(replayed.zones()[i].min, live.zones()[i].min) << "zone " << i;
+    EXPECT_EQ(replayed.zones()[i].max, live.zones()[i].max) << "zone " << i;
+    EXPECT_EQ(replayed.zones()[i].conservative,
+              live.zones()[i].conservative)
+        << "zone " << i;
+  }
+  EXPECT_EQ(replayed.absorb_count(), live.absorb_count());
+  EXPECT_EQ(replayed.split_count(), live.split_count());
+  EXPECT_TRUE(replayed.CheckInvariants());
 }
 
 TEST(AdaptiveZoneMapTest, FactoryDispatchesAllTypes) {

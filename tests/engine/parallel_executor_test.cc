@@ -10,12 +10,15 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "adaskip/adaptive/adaptive_zone_map.h"
 #include "adaskip/engine/scan_executor.h"
+#include "adaskip/engine/session.h"
 #include "adaskip/workload/data_generator.h"
 #include "adaskip/workload/query_generator.h"
 
@@ -204,7 +207,7 @@ TEST_P(ParallelEquivalenceTest, MatchesSerialOnConjunctions) {
     query.aggregate = aggregates[i % 5];
     if (query.aggregate != AggregateKind::kCount &&
         query.aggregate != AggregateKind::kMaterialize) {
-      query.aggregate_column = "y";
+      query.aggregate_column = std::string("y");
     }
     Result<QueryResult> rs = serial.executor->Execute(query);
     Result<QueryResult> rp = parallel.executor->Execute(query);
@@ -265,6 +268,198 @@ TEST_P(ParallelEquivalenceTest, FloatingSumsMatchSerialBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelEquivalenceTest,
                          ::testing::Values(1, 2, 7));
+
+// The one-thread path walks the candidate ranges in place, into one
+// running partial, while a pool scans a morsel list into per-morsel
+// partials; both must cut the kernels at the same morsel and segment
+// boundaries and deliver the same range feedback after the scan. Three
+// sessions (1, 2 and 7 threads) run the same stream of fused,
+// cross-column and conjunction queries over a clustered and a random-walk
+// int64 column and a NaN-salted double column, with appends in between so
+// conservative tail zones are absorbed through that feedback. Answers
+// must match bit for bit, the adaptation journals entry for entry, and
+// the kDetail per-range trace children attribute for attribute.
+TEST(OneThreadExecutorTest, MatchesPooledPathAcrossAppends) {
+  constexpr int64_t kInitialRows = 6000;
+  constexpr int64_t kAppendRows = 700;
+  constexpr int kRounds = 8;
+  constexpr int64_t kTotalRows = kInitialRows + kRounds * kAppendRows;
+
+  DataGenOptions gen;
+  gen.num_rows = kTotalRows;
+  gen.value_range = 100000;
+  gen.order = DataOrder::kClustered;
+  gen.seed = 71;
+  const std::vector<int64_t> c = GenerateData<int64_t>(gen);
+  gen.order = DataOrder::kRandomWalk;
+  gen.seed = 73;
+  const std::vector<int64_t> w = GenerateData<int64_t>(gen);
+  std::vector<double> d;
+  std::mt19937_64 rng(79);
+  std::uniform_real_distribution<double> step(-1.0, 1.0);
+  double walk = 0.0;
+  for (int64_t i = 0; i < kTotalRows; ++i) {
+    walk += step(rng);
+    d.push_back(i % 41 == 5 ? std::numeric_limits<double>::quiet_NaN()
+                            : walk + 0.125);
+  }
+  auto slice = [](const auto& v, int64_t begin, int64_t end) {
+    return std::vector<typename std::decay_t<decltype(v)>::value_type>(
+        v.begin() + begin, v.begin() + end);
+  };
+
+  IndexOptions index = IndexOptions::Adaptive();
+  index.adaptive.initial_zone_size = 256;
+  index.adaptive.min_zone_size = 32;
+  auto make_session = [&](int num_threads) {
+    auto session = std::make_unique<Session>();
+    auto table = std::make_shared<Table>("t");
+    // Unequal power-of-two segments: morsels cut at the smaller one.
+    ADASKIP_CHECK_OK(
+        table->AddColumn("c", MakeColumn(slice(c, 0, kInitialRows), 1024)));
+    ADASKIP_CHECK_OK(
+        table->AddColumn("w", MakeColumn(slice(w, 0, kInitialRows), 512)));
+    ADASKIP_CHECK_OK(
+        table->AddColumn("d", MakeColumn(slice(d, 0, kInitialRows), 1024)));
+    ADASKIP_CHECK_OK(session->RegisterTable(table));
+    for (const char* column : {"c", "w", "d"}) {
+      ADASKIP_CHECK_OK(session->AttachIndex("t", column, index));
+    }
+    ExecOptions exec;
+    exec.num_threads = num_threads;
+    exec.morsel_rows = 100;  // Zones of 256 rows span several morsels.
+    exec.trace_level = obs::TraceLevel::kDetail;
+    exec.journal_events = true;
+    ADASKIP_CHECK_OK(session->SetExecOptions("t", exec));
+    return session;
+  };
+  const int thread_counts[] = {1, 2, 7};
+  std::vector<std::unique_ptr<Session>> sessions;
+  for (int threads : thread_counts) sessions.push_back(make_session(threads));
+
+  QueryGenOptions qgen;
+  qgen.selectivity = 0.03;
+  qgen.seed = 83;
+  QueryGenerator<int64_t> c_preds("c", c, qgen);
+  qgen.seed = 89;
+  QueryGenerator<int64_t> w_preds("w", w, qgen);
+  auto d_pred = [&](int i) {
+    const double lo = d[static_cast<size_t>(i * 997 % kInitialRows)];
+    return Predicate::Between<double>("d", std::isnan(lo) ? 0.0 : lo - 2.0,
+                                      std::isnan(lo) ? 4.0 : lo + 2.0);
+  };
+  auto with_column = [](Query query, std::string column) {
+    query.aggregate_column = std::move(column);
+    return query;
+  };
+  auto both = [](AggregateKind kind, Predicate a, Predicate b,
+                 std::string column) {
+    Query query;
+    query.aggregate = kind;
+    query.predicates = {std::move(a), std::move(b)};
+    query.aggregate_column = std::move(column);
+    return query;
+  };
+
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  auto range_children = [](const QueryResult& result) {
+    const obs::TraceSpan* scan = result.trace->root().FindChild("scan");
+    EXPECT_NE(scan, nullptr);
+    std::vector<std::vector<std::pair<std::string, std::string>>> out;
+    if (scan == nullptr) return out;
+    for (const obs::TraceSpan& child : scan->children) {
+      out.push_back(child.attrs);
+    }
+    out.push_back({{"morsels", std::string(scan->Attr("morsels"))}});
+    return out;
+  };
+  int64_t pooled_queries = 0;
+  int query_index = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const Predicate pc = c_preds.Next();
+    const Predicate pw = w_preds.Next();
+    const Predicate pd = d_pred(round);
+    const std::vector<Query> queries = {
+        Query::Count(pc),
+        Query::Sum(pc),
+        Query::Min(pw),
+        Query::Max(pw),
+        Query::Materialize(pw),
+        Query::Sum(pd),
+        Query::Materialize(pd),
+        with_column(Query::Sum(pc), "d"),
+        with_column(Query::Min(pw), "d"),
+        both(AggregateKind::kCount, pc, pw, ""),
+        both(AggregateKind::kSum, pc, pw, "d"),
+        both(AggregateKind::kMax, pw, pd, "c"),
+        both(AggregateKind::kMaterialize, pc, pd, ""),
+    };
+    for (const Query& query : queries) {
+      const std::string context =
+          "round " + std::to_string(round) + " query " +
+          std::to_string(query_index++) + ": " + query.ToString();
+      std::vector<QueryResult> results;
+      for (auto& session : sessions) {
+        Result<QueryResult> result =
+            session->ExecuteSpec(QuerySpec::Simple("t", query));
+        ASSERT_TRUE(result.ok()) << context << ": " << result.status();
+        results.push_back(*std::move(result));
+      }
+      const QueryResult& one = results[0];
+      for (size_t a = 1; a < results.size(); ++a) {
+        const QueryResult& pooled = results[a];
+        const std::string arm =
+            context + " @" + std::to_string(thread_counts[a]) + " threads";
+        if (pooled.stats.parallel_workers > 0) ++pooled_queries;
+        EXPECT_EQ(one.count, pooled.count) << arm;
+        EXPECT_EQ(bits(one.sum), bits(pooled.sum)) << arm;
+        EXPECT_EQ(bits(one.min), bits(pooled.min)) << arm;
+        EXPECT_EQ(bits(one.max), bits(pooled.max)) << arm;
+        EXPECT_EQ(one.rows, pooled.rows) << arm;
+        EXPECT_EQ(one.stats.rows_scanned, pooled.stats.rows_scanned) << arm;
+        EXPECT_EQ(range_children(one), range_children(pooled)) << arm;
+      }
+    }
+    const int64_t begin = kInitialRows + round * kAppendRows;
+    const int64_t end = begin + kAppendRows;
+    for (auto& session : sessions) {
+      AppendBatch batch;
+      batch.Add("c", slice(c, begin, end))
+          .Add("w", slice(w, begin, end))
+          .Add("d", slice(d, begin, end));
+      ASSERT_TRUE(session->Append("t", batch).ok());
+    }
+  }
+  EXPECT_GT(pooled_queries, 0);
+
+  // The adaptation journals: entry for entry, timestamps aside.
+  const std::vector<obs::JournalEvent> one = sessions[0]->journal().Snapshot();
+  EXPECT_EQ(sessions[0]->journal().spilled(), 0);
+  int64_t absorbs = 0;
+  int64_t splits = 0;
+  for (const obs::JournalEvent& event : one) {
+    absorbs += event.kind == obs::EventKind::kTailAbsorb;
+    splits += event.kind == obs::EventKind::kZoneSplit;
+  }
+  EXPECT_GT(absorbs, 0);
+  EXPECT_GT(splits, 0);
+  for (size_t a = 1; a < sessions.size(); ++a) {
+    const std::vector<obs::JournalEvent> pooled =
+        sessions[a]->journal().Snapshot();
+    ASSERT_EQ(one.size(), pooled.size()) << thread_counts[a] << " threads";
+    for (size_t e = 0; e < one.size(); ++e) {
+      const std::string arm = "event " + std::to_string(e) + " @" +
+                              std::to_string(thread_counts[a]) + " threads";
+      EXPECT_EQ(one[e].seq, pooled[e].seq) << arm;
+      EXPECT_EQ(one[e].kind, pooled[e].kind) << arm;
+      EXPECT_EQ(one[e].scope, pooled[e].scope) << arm;
+      EXPECT_EQ(one[e].query_seq, pooled[e].query_seq) << arm;
+      EXPECT_EQ(one[e].args, pooled[e].args) << arm;
+      EXPECT_EQ(one[e].values, pooled[e].values) << arm;
+      EXPECT_EQ(one[e].detail, pooled[e].detail) << arm;
+    }
+  }
+}
 
 // Regression for the conjunction feedback gap: multi-predicate queries
 // must drive adaptation on the predicate columns' indexes (splits,
